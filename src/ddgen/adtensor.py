@@ -6,6 +6,13 @@ its parents and a closure computing parent gradients from the node gradient;
 order. Gradients accumulate additively across repeated backward calls until
 ``zero_grad`` is invoked.
 
+Gradient arrays are never written in place, because ``_accum`` hands the
+same array to several nodes without copying. The one exception is
+``split``: its parts write their slices into a zeroed buffer that only their
+collector node holds, and the collector passes that buffer to the split
+input once and then drops it. So all parts of one split cost one
+parent-sized gradient, not one each.
+
 Broadcasting is restricted: elementwise binary ops accept operands of equal
 rank where any axis of one operand may be 1 (plus plain python scalars via
 ``scale``/``shift``). Everything else must match shapes exactly and raises
@@ -25,7 +32,7 @@ _LOG10_DIV10 = np.log(10.0) / 10.0
 class Tensor:
     """A value node in the autodiff graph: data plus gradient accumulator."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = data
@@ -252,14 +259,52 @@ def narrow(a, axis, start, length):
     return out
 
 
+def split(a, axis, sizes):
+    """Cut one axis into consecutive parts of the given sizes.
+
+    The parts are views of ``a.data``. Their backwards write into one zeroed
+    buffer held by a collector node, which hands it to ``a`` once.
+    """
+    axis %= a.data.ndim
+    if min(sizes, default=0) < 1 or sum(sizes) != a.data.shape[axis]:
+        raise ValueError("split: sizes %s do not cover axis %d of %s"
+                         % (list(sizes), axis, a.data.shape))
+    collector = Tensor(a.data, (a,))
+    held = [None]  # the gradient buffer, shared by the parts until handed on
+
+    def collect(_):
+        buf, held[0] = held[0], None
+        _accum(a, buf)
+    collector._backward = collect
+
+    parts = []
+    lo = 0
+    for n in sizes:
+        idx = (slice(None),) * axis + (slice(lo, lo + n),)
+        lo += n
+        part = Tensor(a.data[idx], (collector,))
+
+        def back(g, idx=idx):
+            if held[0] is None:
+                held[0] = np.zeros_like(a.data)
+            held[0][idx] = g
+        part._backward = back
+        parts.append(part)
+    return parts
+
+
 def gather_last(a, cols):
     """Select (possibly repeated) columns along the last axis."""
     cols = np.asarray(cols, dtype=np.intp)
     out = Tensor(a.data[..., cols], (a,))
+    repeated = np.unique(cols % a.data.shape[-1]).size < cols.size
 
     def back(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, (Ellipsis, cols), g)
+        if repeated:
+            np.add.at(buf, (Ellipsis, cols), g)
+        else:
+            buf[..., cols] = g
         _accum(a, buf)
     out._backward = back
     return out
@@ -433,6 +478,41 @@ def smooth_l1(a, b, beta):
     return out
 
 
+def lstm_cell(gates, c_prev):
+    """Fused LSTM cell update; returns the new (h, c) as two tensors.
+
+    ``gates`` holds the input, forget, cell and output pre-activations side
+    by side on its last axis (4 x hidden). One node applies the four gate
+    nonlinearities and the state update, with the same arithmetic as the
+    sigmoid/tanh/mul/add composition, and a hand-written backward.
+    """
+    hid = c_prev.data.shape[-1]
+    z = gates.data
+    if z.shape[-1] != 4 * hid:
+        raise ValueError("lstm_cell: gates %s do not hold 4 x hidden %d"
+                         % (z.shape, hid))
+    i = 1.0 / (1.0 + np.exp(-z[..., :hid]))
+    f = 1.0 / (1.0 + np.exp(-z[..., hid:2 * hid]))
+    gg = np.tanh(z[..., 2 * hid:3 * hid])
+    o = 1.0 / (1.0 + np.exp(-z[..., 3 * hid:]))
+    c = f * c_prev.data + i * gg
+    tc = np.tanh(c)
+    state = Tensor(np.concatenate([o * tc, c], axis=-1), (gates, c_prev))
+
+    def back(g):
+        dh = g[..., :hid]
+        dc = g[..., hid:] + dh * o * (1.0 - tc * tc)
+        dz = np.empty_like(z)
+        dz[..., :hid] = dc * gg * i * (1.0 - i)
+        dz[..., hid:2 * hid] = dc * c_prev.data * f * (1.0 - f)
+        dz[..., 2 * hid:3 * hid] = dc * i * (1.0 - gg * gg)
+        dz[..., 3 * hid:] = dh * tc * o * (1.0 - o)
+        _accum(gates, dz)
+        _accum(c_prev, dc * f)
+    state._backward = back
+    return split(state, -1, (hid, hid))
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -483,21 +563,22 @@ def save_checkpoint(path, tensors, meta=None):
     ``tensors`` maps name -> Tensor or ndarray; insertion order is preserved
     and recorded in the manifest, so files are stable for identical inputs.
     """
-    entries = []
-    blobs = []
-    for name, t in tensors.items():
-        arr = np.asarray(t.data if isinstance(t, Tensor) else t,
-                         dtype=np.float64)
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+    def as_array(t):
+        return np.asarray(t.data if isinstance(t, Tensor) else t,
+                          dtype=np.float64)
+
+    entries = [{"name": name, "shape": list(as_array(t).shape)}
+               for name, t in tensors.items()]
     header = json.dumps({"meta": meta or {}, "tensors": entries},
                         sort_keys=True, separators=(",", ":"))
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(header.encode("utf-8") + b"\n")
-        for blob in blobs:
-            f.write(blob)
+        # one array at a time, straight from its buffer: no copy of the
+        # whole checkpoint is ever held
+        for t in tensors.values():
+            f.write(np.ascontiguousarray(as_array(t)).data)
     os.replace(tmp, path)
 
 
@@ -516,4 +597,7 @@ def load_checkpoint(path):
             if len(buf) != count * 8:
                 raise ValueError("truncated checkpoint: %s" % path)
             arrays[ent["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if f.read(1):
+            raise ValueError("trailing bytes after the last tensor in "
+                             "checkpoint: %s" % path)
     return arrays, header["meta"]

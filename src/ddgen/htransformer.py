@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adtensor import (Tensor, add, concat, const, layer_norm, matmul,
-                       mean_axis, mul, narrow, relu, repeat, scale, sigmoid,
-                       softmax, square, sub, tanh, tensor, transpose_last)
+from .adtensor import (Tensor, add, concat, const, layer_norm, lstm_cell,
+                       matmul, mean_axis, mul, narrow, relu, repeat, scale,
+                       softmax, split, square, sub, tensor, transpose_last)
 
 NEG_MASK = -1.0e30
 
@@ -239,21 +239,20 @@ def projected_mha(x_q, x_kv, params, prefix, heads, d_model,
     causal mask zeroes logits above the diagonal of the compressed slot
     index; with identity E/F this reduces to ordinary masked attention.
     """
-    d_k = d_model // heads
     l_kv = x_kv.data.shape[1]
     inv = 1.0 / math.sqrt(d_model)
-    wq, wk, wv = (params[prefix + s] for s in (".wq", ".wk", ".wv"))
+    sizes = [d_model // heads] * heads
+    qs = split(matmul(x_q, params[prefix + ".wq"]), -1, sizes)
+    ks = split(matmul(x_kv, params[prefix + ".wk"]), -1, sizes)
+    vs = split(matmul(x_kv, params[prefix + ".wv"]), -1, sizes)
     mask = None
     heads_out = []
-    for i in range(heads):
+    for i, (q, k, v) in enumerate(zip(qs, ks, vs)):
         proj_e = params["%s.e%d" % (prefix, i)]
         proj_f = params["%s.f%d" % (prefix, i)]
         if proj_e.data.shape[0] > l_kv:
             raise ValueError("projection rank %d exceeds sequence length %d"
                              % (proj_e.data.shape[0], l_kv))
-        q = matmul(x_q, narrow(wq, 1, i * d_k, d_k))
-        k = matmul(x_kv, narrow(wk, 1, i * d_k, d_k))
-        v = matmul(x_kv, narrow(wv, 1, i * d_k, d_k))
         k_low = matmul(proj_e, k)          # (b, B, d_k)
         v_low = matmul(proj_f, v)
         logits = scale(matmul(q, transpose_last(k_low)), inv)
@@ -310,19 +309,14 @@ def _lstm_pass(x, params, prefix, hidden, reverse=False):
     """One LSTM direction over (b,T,d_in); returns the (b,T,hidden) outputs."""
     b, t_len, _ = x.data.shape
     wx, wh, bias = (params[prefix + s] for s in (".wx", ".wh", ".b"))
-    xw = add(matmul(x, wx), bias)  # input contribution for every step at once
+    # input contribution for every step at once
+    steps = split(add(matmul(x, wx), bias), 1, [1] * t_len)
     h = const(np.zeros((b, 1, hidden)))
     c = const(np.zeros((b, 1, hidden)))
     outs = []
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     for t in order:
-        gates = add(narrow(xw, 1, t, 1), matmul(h, wh))
-        i_g = sigmoid(narrow(gates, 2, 0, hidden))
-        f_g = sigmoid(narrow(gates, 2, hidden, hidden))
-        g_g = tanh(narrow(gates, 2, 2 * hidden, hidden))
-        o_g = sigmoid(narrow(gates, 2, 3 * hidden, hidden))
-        c = add(mul(f_g, c), mul(i_g, g_g))
-        h = mul(o_g, tanh(c))
+        h, c = lstm_cell(add(steps[t], matmul(h, wh)), c)
         outs.append(h)
     if reverse:
         outs.reverse()

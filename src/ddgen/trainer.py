@@ -333,14 +333,30 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # In place, in the operation order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p = p*(1 - lr*wd) - lr * (m/bc1) / (sqrt(v/bc2) + eps)
+        # so the result is bit-identical to that formula.
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            tmp, update = np.empty_like(m), np.empty_like(m)
+            m *= self.beta1
+            m += np.multiply(1 - self.beta1, g, out=tmp)
+            v *= self.beta2
+            np.multiply(1 - self.beta2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bc1, out=update)
+            update /= tmp
+            update *= lr
             # decay applied as a multiplicative factor so a zero-gradient step
             # shrinks parameters by exactly (1 - lr * weight_decay)
-            p.data = p.data * (1.0 - lr * self.weight_decay) - lr * update
+            p.data *= 1.0 - lr * self.weight_decay
+            p.data -= update
 
     def state_arrays(self):
         out = {}
@@ -515,6 +531,9 @@ def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
                 opt.clip_grad_norm(settings.grad_clip)
             opt.step(lr)
             total_loss += loss_val * len(batch)
+            # the step's graph holds every intermediate and its gradient:
+            # free it before the next forward (or the final save) builds more
+            del out, loss
         mean_loss = total_loss / len(windows)
         trace.append((epoch + 1, mean_loss, lr))
         if (settings.checkpoint_every and

@@ -134,10 +134,92 @@ def test_structure_op_gradients():
         a = ad.narrow(x, 1, 1, 3)
         b = ad.gather_last(x, [0, 2, 2, 5])
         c = ad.repeat(ad.mean_axis(x, 1, keepdims=True), 4, axis=1)
+        d = ad.gather_last(x, [5, 1, 3])  # unique columns
         return ad.sum_all(ad.square(ad.concat(
-            [a, ad.narrow(b, 1, 0, 3), ad.narrow(c, 1, 0, 3)], axis=-1)))
+            [a, ad.narrow(b, 1, 0, 3), ad.narrow(c, 1, 0, 3),
+             ad.narrow(d, 1, 2, 3)], axis=-1)))
 
     assert ad.grad_check(f, [x]) < 1e-8
+
+
+def _weighted_sum(parts, seed):
+    terms = [ad.sum_all(ad.mul(p, ad.const(rnd(p.shape, seed=seed + k))))
+             for k, p in enumerate(parts)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return total
+
+
+@pytest.mark.parametrize("axis,sizes", [
+    (0, (1, 2)), (1, (2, 1, 1)), (2, (3, 2)), (-1, (1, 1, 3)),
+])
+def test_split_gradients_match_narrow(axis, sizes):
+    x1 = ad.tensor(rnd((3, 4, 5), seed=30))
+    x2 = ad.tensor(x1.data.copy())
+    parts = ad.split(x1, axis, sizes)
+    starts = np.cumsum((0,) + sizes[:-1])
+    ref = [ad.narrow(x2, axis % 3, int(lo), n) for lo, n in zip(starts, sizes)]
+    for p, r in zip(parts, ref):
+        assert np.array_equal(p.data, r.data)
+    # parts reach the output through different paths; one part is unused
+    _weighted_sum(parts[:-1], seed=31).backward()
+    _weighted_sum(ref[:-1], seed=31).backward()
+    assert np.array_equal(x1.grad, x2.grad)
+
+
+def test_split_keeps_accumulation_across_backward_calls():
+    x1 = ad.tensor(rnd((2, 6), seed=32))
+    x2 = ad.tensor(x1.data.copy())
+    for _ in range(2):  # a fresh graph per call
+        ad.sum_all(ad.square(ad.concat(ad.split(x1, 1, (4, 2)), 1))).backward()
+    assert np.allclose(x1.grad, 4.0 * x1.data)
+    # the same graph backed through twice behaves as the narrow composition
+    x1.grad = None
+    out1 = _weighted_sum(ad.split(x1, 1, (1, 3, 2)), seed=33)
+    out2 = _weighted_sum([ad.narrow(x2, 1, 0, 1), ad.narrow(x2, 1, 1, 3),
+                          ad.narrow(x2, 1, 4, 2)], seed=33)
+    for _ in range(2):
+        out1.backward()
+        out2.backward()
+    assert np.array_equal(x1.grad, x2.grad)
+
+
+def test_split_rejects_sizes_that_miss_the_axis():
+    x = ad.tensor(rnd((2, 6)))
+    for sizes in ((4, 1), (4, 3), (), (6, 0)):
+        with pytest.raises(ValueError, match="split"):
+            ad.split(x, 1, sizes)
+
+
+def test_split_and_lstm_cell_gradients():
+    x = ad.tensor(rnd((2, 3, 5), seed=34))
+    err = ad.grad_check(lambda: _weighted_sum(
+        [ad.square(p) for p in ad.split(x, 1, (1, 2))], seed=35), [x])
+    assert err < 1e-8
+    gates = ad.tensor(rnd((2, 1, 12), seed=36))
+    c_prev = ad.tensor(rnd((2, 1, 3), seed=37))
+
+    def cell():
+        h, c = ad.lstm_cell(gates, c_prev)
+        return ad.add(_weighted_sum([h], seed=38), _weighted_sum([c], seed=39))
+
+    assert ad.grad_check(cell, [gates, c_prev]) < 1e-8
+
+
+def test_lstm_cell_forward_matches_composition():
+    hid = 4
+    gates = ad.tensor(rnd((3, 1, 4 * hid), seed=40, lo=-4, hi=4))
+    c_prev = ad.tensor(rnd((3, 1, hid), seed=41))
+    h, c = ad.lstm_cell(gates, c_prev)
+    i_g, f_g, g_g, o_g = (ad.narrow(gates, 2, k * hid, hid) for k in range(4))
+    c_ref = ad.add(ad.mul(ad.sigmoid(f_g), c_prev),
+                   ad.mul(ad.sigmoid(i_g), ad.tanh(g_g)))
+    h_ref = ad.mul(ad.sigmoid(o_g), ad.tanh(c_ref))
+    assert np.array_equal(c.data, c_ref.data)
+    assert np.array_equal(h.data, h_ref.data)
+    with pytest.raises(ValueError, match="lstm_cell"):
+        ad.lstm_cell(gates, ad.tensor(rnd((3, 1, hid + 1))))
 
 
 def test_layer_norm_gradient():
@@ -212,4 +294,31 @@ def test_checkpoint_rejects_other_files(tmp_path):
     with open(path, "wb") as f:
         f.write(b"not a checkpoint\n")
     with pytest.raises(ValueError, match="checkpoint"):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_bytes_are_magic_header_then_float64(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    w = rnd((3, 4), seed=42)
+    t = np.asfortranarray(rnd((2, 5), seed=43))  # written in C order
+    flags = np.array([True, False])
+    ad.save_checkpoint(path, {"w": ad.tensor(w), "t": t, "flags": flags,
+                              "s": np.asarray(2.5)}, {"k": 1})
+    header = ('{"meta":{"k":1},"tensors":[{"name":"w","shape":[3,4]},'
+              '{"name":"t","shape":[2,5]},{"name":"flags","shape":[2]},'
+              '{"name":"s","shape":[]}]}')
+    want = (b"ADTENSOR-CKPT v1\n" + header.encode() + b"\n" + w.tobytes()
+            + t.tobytes() + flags.astype(np.float64).tobytes()
+            + np.float64(2.5).tobytes())
+    with open(path, "rb") as f:
+        assert f.read() == want
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    ad.save_checkpoint(path, {"w": ad.tensor(rnd((2, 2)))})
+    ad.load_checkpoint(path)
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
         ad.load_checkpoint(path)

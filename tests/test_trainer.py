@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -263,6 +265,32 @@ def test_adamw_state_roundtrip():
     assert np.array_equal(opt2.v["w"], opt.v["w"])
 
 
+def test_adamw_in_place_step_matches_formula():
+    rng = np.random.default_rng(12)
+    shapes = {"a": (5, 7), "b": (1, 1, 4), "c": ()}
+    params = {k: ad.tensor(rng.normal(size=s)) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.01, 3e-3
+    opt = trainer.AdamW(params, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+    for step in range(1, 4):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        for k, t in params.items():
+            t.grad = grads[k]
+        opt.step(lr)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+            ref[k] = ref[k] * (1.0 - lr * wd) - lr * update
+        for k in shapes:
+            assert np.array_equal(params[k].data, ref[k])
+            assert np.array_equal(opt.m[k], m[k])
+            assert np.array_equal(opt.v[k], v[k])
+
+
 def test_grad_clip_norm():
     params = {"w": ad.tensor(np.zeros(4))}
     opt = trainer.AdamW(params)
@@ -396,6 +424,35 @@ def test_evaluate_model_skips_short_ranges(tmp_path):
     assert len(true_p["delay_spread"]) > 0
     with pytest.raises(ValueError, match="windows"):
         trainer.evaluate_model(ds, cfg, res.params, res.scaler, [(0, 5)])
+
+
+def test_train_frees_each_step_graph(tmp_path, monkeypatch):
+    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=2)
+    outputs, alive = [], []
+
+    def live_outputs():
+        return sum(ref() is not None for ref in outputs)
+
+    def forward(*args, **kwargs):
+        alive.append(live_outputs())
+        out = real_forward(*args, **kwargs)
+        outputs.append(weakref.ref(out))
+        return out
+
+    def save(*args, **kwargs):
+        alive.append(live_outputs())
+        return real_save(*args, **kwargs)
+
+    real_forward, real_save = trainer.hybrid_forward, trainer.save_train_checkpoint
+    monkeypatch.setattr(trainer, "hybrid_forward", forward)
+    monkeypatch.setattr(trainer, "save_train_checkpoint", save)
+    gc.disable()  # reference counting alone must release the graph
+    try:
+        trainer.train(ds, cfg, settings, path)
+    finally:
+        gc.enable()
+    assert len(outputs) > 2
+    assert alive == [0] * (len(outputs) + 1)
 
 
 def test_checkpoint_roundtrip_through_trainer(tmp_path):
