@@ -5,6 +5,12 @@ weighted standard deviation of the path delays, and the angular spread is
 the unit-circle spread sqrt(sum_n w_n |e^{j a_n} - mu|^2) with mu the
 weighted mean phasor, which is dimensionless and bounded by [0, 1] and
 immune to the 2*pi wrap-around of a naive angular standard deviation.
+``rms_*`` are the scalar reference; ``row_stats`` applies the same formulas
+to a whole matrix of dataset rows and serves evaluation and calibration.
+The training loss (``trainer.window_stat_tensors``) uses the same unit
+constants, with one deliberate difference: it takes sqrt(S^2 + eps) to
+bound the 1/S gradient at zero spread, where evaluation takes sqrt(S^2)
+and clamps the angular spread to [0, 1].
 
 All evaluation compares pooled sample sets through their empirical CDFs on
 a shared grid; the reported distance is the mean squared pointwise CDF
@@ -23,17 +29,9 @@ from . import gscm
 CDF_FLOOR_DB = -120.0
 CDF_GRID_SIZE = 512
 
-
-@dataclass(frozen=True)
-class StatBundle:
-    """The five spread statistics plus per-path gains for one sample."""
-
-    delay_spread: float      # seconds
-    az_dod_spread: float     # dimensionless, [0, 1]
-    zn_dod_spread: float
-    az_doa_spread: float
-    zn_doa_spread: float
-    gains_db: np.ndarray
+# dataset file units (ns, degrees) to the SI units of every statistic
+NS_TO_S = 1e-9
+DEG_TO_RAD = math.pi / 180.0
 
 
 def _weights(powers_linear):
@@ -61,6 +59,40 @@ def rms_angular_spread(powers_linear, angles):
     mu = np.dot(w, phasor)
     val = float(np.dot(w, np.abs(phasor - mu) ** 2))
     return math.sqrt(min(max(val, 0.0), 1.0))
+
+
+def row_stats(rows, n_paths):
+    """The five spreads and per-path gains of every dataset row at once.
+
+    ``rows`` is a (rows, 4+7N) matrix in file units (ns, degrees, dBm).
+    Returns a dict keyed by STAT_NAMES, each spread shaped (rows,) in
+    seconds or dimensionless [0, 1], plus ``gains_db`` shaped (rows, N).
+    A row without a strictly positive path power raises ValueError.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != gscm.feature_dim(n_paths):
+        raise ValueError("expected a (rows, %d) matrix, got shape %s"
+                         % (gscm.feature_dim(n_paths), rows.shape))
+    gains = rows[:, gscm.gain_cols(n_paths)]
+    powers = 10.0 ** (gains / 10.0)
+    dead = ~np.any(powers > 0, axis=1)
+    if np.any(dead):
+        raise ValueError("row %d: need at least one strictly positive power"
+                         % np.argmax(dead))
+    w = powers / powers.sum(axis=1, keepdims=True)
+    tau = rows[:, gscm.delay_cols(n_paths)] * NS_TO_S
+    mean = np.sum(w * tau, axis=1, keepdims=True)
+    out = {"delay_spread": np.sqrt(np.sum(w * (tau - mean) ** 2, axis=1))}
+    for name, cols in (("az_dod_spread", gscm.az_dod_cols),
+                       ("zn_dod_spread", gscm.zn_dod_cols),
+                       ("az_doa_spread", gscm.az_doa_cols),
+                       ("zn_doa_spread", gscm.zn_doa_cols)):
+        phasor = np.exp(1j * (rows[:, cols(n_paths)] * DEG_TO_RAD))
+        mu = np.sum(w * phasor, axis=1, keepdims=True)
+        val = np.sum(w * np.abs(phasor - mu) ** 2, axis=1)
+        out[name] = np.sqrt(np.clip(val, 0.0, 1.0))
+    out["gains_db"] = gains
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,48 +136,6 @@ def cdf_mse_db(a, b, floor_db=CDF_FLOOR_DB):
     if mse <= floor_lin:
         return floor_db
     return 10.0 * math.log10(mse)
-
-
-# ---------------------------------------------------------------------------
-# per-sample statistics
-
-def sample_stats(sample):
-    """StatBundle for one ChannelSample (seconds / radians / dB units)."""
-    gains = np.array([p.gain_db for p in sample.paths])
-    powers = 10.0 ** (gains / 10.0)
-    delays = np.array([p.delay for p in sample.paths])
-    return StatBundle(
-        delay_spread=rms_delay_spread(powers, delays),
-        az_dod_spread=rms_angular_spread(powers, [p.az_dod for p in sample.paths]),
-        zn_dod_spread=rms_angular_spread(powers, [p.zn_dod for p in sample.paths]),
-        az_doa_spread=rms_angular_spread(powers, [p.az_doa for p in sample.paths]),
-        zn_doa_spread=rms_angular_spread(powers, [p.zn_doa for p in sample.paths]),
-        gains_db=gains,
-    )
-
-
-def window_stats(window):
-    """One StatBundle per sample; powers come from dB gains via 10^(g/10)."""
-    if not window:
-        raise ValueError("empty window")
-    return [sample_stats(s) for s in window]
-
-
-def stats_from_row(row, n_paths):
-    """StatBundle from one dataset row (ns/degree/dBm) converted to SI units."""
-    row = np.asarray(row, dtype=np.float64)
-    gains = row[gscm.gain_cols(n_paths)]
-    powers = 10.0 ** (gains / 10.0)
-    delays = row[gscm.delay_cols(n_paths)] * 1e-9
-    rad = np.pi / 180.0
-    return StatBundle(
-        delay_spread=rms_delay_spread(powers, delays),
-        az_dod_spread=rms_angular_spread(powers, row[gscm.az_dod_cols(n_paths)] * rad),
-        zn_dod_spread=rms_angular_spread(powers, row[gscm.zn_dod_cols(n_paths)] * rad),
-        az_doa_spread=rms_angular_spread(powers, row[gscm.az_doa_cols(n_paths)] * rad),
-        zn_doa_spread=rms_angular_spread(powers, row[gscm.zn_doa_cols(n_paths)] * rad),
-        gains_db=gains,
-    )
 
 
 STAT_NAMES = ("delay_spread", "az_dod_spread", "zn_dod_spread",

@@ -360,14 +360,19 @@ def write_dataset(ds, path):
             f.write(" ".join("%.17g" % v for v in row) + "\n")
 
 
+_HEADER_KEYS = ("n_paths", "fc_ghz", "delta2d", "h_rx", "seed", "traj_steps")
+
+
 def read_dataset(path):
+    """Parse a dataset file; malformed input raises ValueError naming the
+    file and the offending line or header key."""
     meta = {}
-    rows = []
+    rows, line_nos = [], []
     with open(path) as f:
         first = f.readline().rstrip("\n")
         if first != _DATASET_MAGIC:
             raise ValueError("not a ddgen dataset: %s" % path)
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -377,12 +382,26 @@ def read_dataset(path):
                         key, val = tok.split("=", 1)
                         meta[key] = val
                 continue
-            rows.append(np.array(line.split(), dtype=np.float64))
+            try:
+                rows.append(np.array(line.split(), dtype=np.float64))
+            except ValueError:
+                raise ValueError("%s: line %d: not a row of numbers"
+                                 % (path, line_no)) from None
+            line_nos.append(line_no)
+    missing = [key for key in _HEADER_KEYS if key not in meta]
+    if missing:
+        raise ValueError("%s: dataset header lacks %r" % (path, missing[0]))
     n_paths = int(meta["n_paths"])
-    mat = np.vstack(rows) if rows else np.empty((0, feature_dim(n_paths)))
-    if mat.shape[1] != feature_dim(n_paths):
-        raise ValueError("row width %d does not match n_paths=%d"
-                         % (mat.shape[1], n_paths))
+    width = feature_dim(n_paths)
+    short = [n for row, n in zip(rows, line_nos) if row.size != width]
+    if short:
+        raise ValueError("%s: line %d: row width does not match n_paths=%d"
+                         % (path, short[0], n_paths))
+    mat = np.vstack(rows) if rows else np.empty((0, width))
+    bad = ~np.isfinite(mat).all(axis=1)
+    if bad.any():
+        raise ValueError("%s: line %d: non-finite value"
+                         % (path, line_nos[int(np.argmax(bad))]))
     traj_steps = tuple(int(v) for v in meta["traj_steps"].split(","))
     if sum(traj_steps) != mat.shape[0]:
         raise ValueError("trajectory sizes do not cover the row count")

@@ -156,16 +156,6 @@ def gather_window_arrays(rows_scaled, batch, lag, window):
 # ---------------------------------------------------------------------------
 # losses
 
-def smooth_l1(y, yhat, beta):
-    """Scalar/array smooth-L1: quadratic inside |y - yhat| < beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    d = np.asarray(y, dtype=np.float64) - np.asarray(yhat, dtype=np.float64)
-    absd = np.abs(d)
-    out = np.where(absd < beta, 0.5 * d * d / beta, absd - 0.5 * beta)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LossWeights:
     alpha_tau: float
@@ -190,18 +180,20 @@ def _reciprocal_mean(values, alpha_max):
     return min(1.0 / m, alpha_max)
 
 
-def calibrate_weights(bundles, alpha_max=1e12):
-    """Reciprocal-of-mean weights so alpha * (typical statistic) is near 1."""
-    if not bundles:
-        raise ValueError("need at least one statistics bundle")
-    delay = [b.delay_spread for b in bundles]
-    az = [b.az_dod_spread for b in bundles] + [b.az_doa_spread for b in bundles]
-    zn = [b.zn_dod_spread for b in bundles] + [b.zn_doa_spread for b in bundles]
-    gains = np.concatenate([b.gains_db for b in bundles])
-    return LossWeights(alpha_tau=_reciprocal_mean(delay, alpha_max),
-                       alpha_az=_reciprocal_mean(az, alpha_max),
-                       alpha_zn=_reciprocal_mean(zn, alpha_max),
-                       alpha_g=_reciprocal_mean(gains, alpha_max))
+def calibrate_weights(stats, alpha_max=1e12):
+    """Reciprocal-of-mean weights so alpha * (typical statistic) is near 1.
+
+    ``stats`` is a ``chanstats.row_stats`` dict over the training rows.
+    """
+    if stats["delay_spread"].size == 0:
+        raise ValueError("need statistics of at least one row")
+    az = np.concatenate([stats["az_dod_spread"], stats["az_doa_spread"]])
+    zn = np.concatenate([stats["zn_dod_spread"], stats["zn_doa_spread"]])
+    return LossWeights(
+        alpha_tau=_reciprocal_mean(stats["delay_spread"], alpha_max),
+        alpha_az=_reciprocal_mean(az, alpha_max),
+        alpha_zn=_reciprocal_mean(zn, alpha_max),
+        alpha_g=_reciprocal_mean(stats["gains_db"].ravel(), alpha_max))
 
 
 class NonFiniteStat(RuntimeError):
@@ -211,7 +203,7 @@ class NonFiniteStat(RuntimeError):
 
 
 def _angular_spread_tensor(raw, cols, weights_t):
-    ang = ad.scale(ad.gather_last(raw, cols), math.pi / 180.0)
+    ang = ad.scale(ad.gather_last(raw, cols), chanstats.DEG_TO_RAD)
     c, s = ad.cos(ang), ad.sin(ang)
     mu_c = ad.sum_axis(ad.mul(weights_t, c), -1, keepdims=True)
     mu_s = ad.sum_axis(ad.mul(weights_t, s), -1, keepdims=True)
@@ -234,7 +226,8 @@ def window_stat_tensors(x_scaled, scaler):
     powers = ad.db_to_linear(gains)
     total = ad.sum_axis(powers, -1, keepdims=True)
     w = ad.div(powers, total)
-    tau = ad.scale(ad.gather_last(raw, gscm.delay_cols(n)), 1e-9)
+    tau = ad.scale(ad.gather_last(raw, gscm.delay_cols(n)),
+                   chanstats.NS_TO_S)
     tau_bar = ad.sum_axis(ad.mul(w, tau), -1, keepdims=True)
     dev = ad.sub(tau, tau_bar)
     out = {
@@ -484,9 +477,9 @@ def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
         scaler = fit_scaler(train_rows, dataset.n_paths)
         weights = None
         if settings.mode == "gen":
-            bundles = [chanstats.stats_from_row(r, dataset.n_paths)
-                       for r in train_rows]
-            weights = calibrate_weights(bundles, settings.alpha_max)
+            weights = calibrate_weights(
+                chanstats.row_stats(train_rows, dataset.n_paths),
+                settings.alpha_max)
         opt = AdamW(params, weight_decay=settings.weight_decay)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
@@ -570,16 +563,10 @@ EVAL_STATS = chanstats.STAT_NAMES + ("mpc_power",)
 
 def collect_window_stats(rows, n_paths):
     """Pool per-row spread statistics and per-path gains from raw rows."""
-    pools = {name: [] for name in EVAL_STATS}
-    for row in rows:
-        b = chanstats.stats_from_row(row, n_paths)
-        pools["delay_spread"].append(b.delay_spread)
-        pools["az_dod_spread"].append(b.az_dod_spread)
-        pools["zn_dod_spread"].append(b.zn_dod_spread)
-        pools["az_doa_spread"].append(b.az_doa_spread)
-        pools["zn_doa_spread"].append(b.zn_doa_spread)
-        pools["mpc_power"].extend(b.gains_db)
-    return {k: np.asarray(v) for k, v in pools.items()}
+    stats = chanstats.row_stats(rows, n_paths)
+    pools = {name: stats[name] for name in chanstats.STAT_NAMES}
+    pools["mpc_power"] = stats["gains_db"].ravel()
+    return pools
 
 
 def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,

@@ -242,6 +242,9 @@ def test_smooth_l1_values_and_junction():
     b = ad.const(np.array([0.0, 0.0, 0.0]))
     out = ad.smooth_l1(a, b, 1.0)
     assert np.allclose(out.data, [1.5, 0.0, 0.5])
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ad.smooth_l1(a, b, beta)
     # the junction |d| = beta is C1: both branches give value 0.5*beta and
     # slope sign(d)
     beta = 0.7
@@ -251,6 +254,7 @@ def test_smooth_l1_values_and_junction():
     assert abs(quad - lin) < 1e-15
     x = ad.tensor(np.array([d]))
     out = ad.smooth_l1(x, ad.const(np.array([0.0])), beta)
+    assert out.data[0] == pytest.approx(0.5 * beta)
     out.backward(np.array([1.0]))
     assert abs(x.grad[0] - 1.0) < 1e-15
 

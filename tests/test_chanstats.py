@@ -3,6 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import random_feature_rows
 
 from ddgen import chanstats, gscm
 
@@ -172,25 +177,45 @@ def test_cdf_pair_shares_pooled_grid():
     assert a.values[-1] == 1.0 and b.values[-1] == 1.0
 
 
-def test_window_stats_composition(small_dataset):
+# ---------------------------------------------------------------------------
+# row_stats: the vectorized core, against the scalar reference
+
+ANGLE_GROUPS = (("az_dod_spread", gscm.az_dod_cols),
+                ("zn_dod_spread", gscm.zn_dod_cols),
+                ("az_doa_spread", gscm.az_doa_cols),
+                ("zn_doa_spread", gscm.zn_doa_cols))
+
+
+def _scalar_row_stats(row, n_paths):
+    """The scalar reference applied to one dataset row, as a dict."""
+    powers = 10.0 ** (row[gscm.gain_cols(n_paths)] / 10.0)
+    out = {"delay_spread": chanstats.rms_delay_spread(
+        powers, row[gscm.delay_cols(n_paths)] * chanstats.NS_TO_S)}
+    for name, cols in ANGLE_GROUPS:
+        out[name] = chanstats.rms_angular_spread(
+            powers, row[cols(n_paths)] * chanstats.DEG_TO_RAD)
+    return out
+
+
+def test_window_stats_composition():
     tx = (0.0, 0.0, 25.0)
     field = gscm.place_scatterers(4, seed=3)
     pt = gscm.TrajectoryPoint(position=(80, 60, 1.5), heading=0.0, step_index=0)
-    samples = [gscm.synthesize_sample(tx, pt, field, 2.4)] * 3
-    bundles = chanstats.window_stats(samples)
-    assert len(bundles) == 3
-    for other in bundles[1:]:
-        for name in chanstats.STAT_NAMES:
-            assert getattr(other, name) == getattr(bundles[0], name)
-        assert np.array_equal(other.gains_db, bundles[0].gains_db)
-    s = samples[0]
-    powers = 10.0 ** (np.array([p.gain_db for p in s.paths]) / 10.0)
-    want = chanstats.rms_delay_spread(powers, [p.delay for p in s.paths])
-    assert bundles[0].delay_spread == pytest.approx(want, rel=1e-15)
-    want_az = chanstats.rms_angular_spread(powers, [p.az_dod for p in s.paths])
-    assert bundles[0].az_dod_spread == pytest.approx(want_az, rel=1e-15)
+    row = gscm.synthesize_sample(tx, pt, field, 2.4).to_row()
+    stats = chanstats.row_stats(np.stack([row] * 3), 4)
+    assert set(stats) == set(chanstats.STAT_NAMES) | {"gains_db"}
+    for name in chanstats.STAT_NAMES:
+        assert stats[name].shape == (3,)
+        assert stats[name][1] == stats[name][0] == stats[name][2]
+    assert stats["gains_db"].shape == (3, 4)
+    assert np.array_equal(stats["gains_db"][2], row[gscm.gain_cols(4)])
+    want = _scalar_row_stats(row, 4)
+    for name in chanstats.STAT_NAMES:
+        assert stats[name][0] == pytest.approx(want[name], rel=1e-15)
     with pytest.raises(ValueError):
-        chanstats.window_stats([])
+        chanstats.row_stats(row, 4)  # one row is a (1, F) matrix, not (F,)
+    with pytest.raises(ValueError):
+        chanstats.row_stats(np.stack([row] * 3), 3)
 
 
 def test_window_stats_match_oracle_on_gscm_window():
@@ -198,25 +223,116 @@ def test_window_stats_match_oracle_on_gscm_window():
     headings = gscm.heading_angle_set(50)
     traj = gscm.gen_trajectory((100, 100, 1.5), 100, 1.0, headings, seed=13)
     samples = [gscm.synthesize_sample((0, 0, 25), p, field, 2.4) for p in traj]
-    bundles = chanstats.window_stats(samples)
-    for s, b in zip(samples, bundles):
+    stats = chanstats.row_stats(np.stack([s.to_row() for s in samples]), 6)
+    for i, s in enumerate(samples):
         p = [10.0 ** (q.gain_db / 10.0) for q in s.paths]
-        assert abs(b.delay_spread -
+        assert abs(stats["delay_spread"][i] -
                    oracle_delay_spread(p, [q.delay for q in s.paths])) < 1e-10
-        assert abs(b.zn_doa_spread -
+        assert abs(stats["zn_doa_spread"][i] -
                    oracle_angular_spread(p, [q.zn_doa for q in s.paths])) < 1e-10
 
 
-def test_stats_from_row_consistent_with_sample_stats():
+def test_row_stats_consistent_with_sample_units():
+    # file units (ns, degrees) in the row, SI units in the sample's paths
     field = gscm.place_scatterers(5, seed=17)
     pt = gscm.TrajectoryPoint(position=(90, -40, 1.5), heading=0.0,
                               step_index=0)
     sample = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
-    from_sample = chanstats.sample_stats(sample)
-    from_row = chanstats.stats_from_row(sample.to_row(), 5)
-    assert from_row.delay_spread == pytest.approx(from_sample.delay_spread,
-                                                  rel=1e-12)
-    for name in chanstats.STAT_NAMES:
-        assert getattr(from_row, name) == pytest.approx(
-            getattr(from_sample, name), rel=1e-9)
-    assert np.allclose(from_row.gains_db, from_sample.gains_db)
+    stats = chanstats.row_stats(sample.to_row()[None], 5)
+    gains = np.array([p.gain_db for p in sample.paths])
+    powers = 10.0 ** (gains / 10.0)
+    assert stats["delay_spread"][0] == pytest.approx(
+        chanstats.rms_delay_spread(powers, [p.delay for p in sample.paths]),
+        rel=1e-12)
+    for name in ("az_dod", "zn_dod", "az_doa", "zn_doa"):
+        want = chanstats.rms_angular_spread(
+            powers, [getattr(p, name) for p in sample.paths])
+        assert stats[name + "_spread"][0] == pytest.approx(want, rel=1e-9)
+    assert np.allclose(stats["gains_db"][0], gains)
+
+
+def test_row_stats_matches_scalar_reference_on_gscm_dataset():
+    ds = gscm.synthesize_dataset(n_paths=26, steps=150, seed=29, fc_ghz=2.4,
+                                 delta2d=1.0, trajectories=2)
+    stats = chanstats.row_stats(ds.rows, 26)
+    for i, row in enumerate(ds.rows):
+        want = _scalar_row_stats(row, 26)
+        for name in chanstats.STAT_NAMES:
+            assert stats[name][i] == pytest.approx(want[name], rel=1e-12)
+    assert np.array_equal(stats["gains_db"], ds.rows[:, gscm.gain_cols(26)])
+
+
+def test_row_stats_rejects_row_without_power():
+    rows = random_feature_rows(4, 3, seed=31)
+    rows[2, gscm.gain_cols(3)] = -np.inf
+    with pytest.raises(ValueError, match="row 2"):
+        chanstats.row_stats(rows, 3)
+    # one path with power left is enough, as for the scalar reference
+    rows[2, gscm.gain_cols(3)[1]] = -100.0
+    assert np.isfinite(chanstats.row_stats(rows, 3)["delay_spread"]).all()
+
+
+# property tests: invariances of every spread under transformations of rows
+
+@st.composite
+def random_rows(draw):
+    n_paths = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, 6))
+    rows = random_feature_rows(n_rows, n_paths,
+                               seed=draw(st.integers(0, 2**32 - 1)))
+    # gains over 120 dB, so one path can dominate; some rows get equal
+    # delays or angles, so near-zero spreads are covered too
+    rows[:, gscm.gain_cols(n_paths)] = draw(arrays(
+        np.float64, (n_rows, n_paths), elements=st.floats(-160.0, -40.0)))
+    for cols in (gscm.delay_cols(n_paths), gscm.az_doa_cols(n_paths)):
+        if draw(st.booleans()):
+            rows[:, cols] = rows[:, cols[:1]]
+    return rows, n_paths
+
+
+def _assert_spreads_close(a, b):
+    assert np.allclose(a["delay_spread"], b["delay_spread"],
+                       rtol=1e-9, atol=1e-15)  # seconds: 1 fs
+    for name, _ in ANGLE_GROUPS:
+        assert np.allclose(a[name], b[name], rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rows(), st.floats(-60.0, 60.0))
+def test_row_stats_invariant_to_common_gain_offset(rows_n, offset_db):
+    rows, n = rows_n
+    shifted = rows.copy()
+    shifted[:, gscm.gain_cols(n)] += offset_db
+    _assert_spreads_close(chanstats.row_stats(rows, n),
+                          chanstats.row_stats(shifted, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rows(), st.floats(-300.0, 3000.0))
+def test_row_stats_delay_spread_invariant_to_delay_shift(rows_n, shift_ns):
+    rows, n = rows_n
+    shifted = rows.copy()
+    shifted[:, gscm.delay_cols(n)] += shift_ns
+    a = chanstats.row_stats(rows, n)["delay_spread"]
+    b = chanstats.row_stats(shifted, n)["delay_spread"]
+    assert np.allclose(a, b, rtol=1e-9, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rows(), st.sampled_from(ANGLE_GROUPS), st.floats(-720.0, 720.0))
+def test_row_stats_angular_spreads_invariant_to_rotation(rows_n, group,
+                                                         angle_deg):
+    rows, n = rows_n
+    rotated = rows.copy()
+    rotated[:, group[1](n)] += angle_deg
+    _assert_spreads_close(chanstats.row_stats(rows, n),
+                          chanstats.row_stats(rotated, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rows())
+def test_row_stats_angular_spreads_in_unit_interval(rows_n):
+    rows, n = rows_n
+    stats = chanstats.row_stats(rows, n)
+    for name, _ in ANGLE_GROUPS:
+        assert np.all((stats[name] >= 0.0) & (stats[name] <= 1.0))

@@ -213,6 +213,40 @@ def test_exit_codes(tmp_path):
     assert cli.main(["gen"]) == 1
 
 
+def _corrupt(src, dst, how):
+    """Copy a dataset file with one defect; returns what stderr must name."""
+    lines = open(src).read().splitlines()
+    first_row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    row = first_row + 3  # 0-based index; the file's line number is row + 1
+    vals = lines[row].split()
+    if how in ("nan", "inf", "word"):
+        vals[5] = how  # the first path's gain
+        lines[row] = " ".join(vals)
+        want = "line %d" % (row + 1)
+    elif how == "short":
+        lines[row] = " ".join(vals[:-1])
+        want = "line %d" % (row + 1)
+    else:  # a deleted header key
+        lines[1] = lines[1].replace(" delta2d=", " delta2d_=")
+        want = "'delta2d'"
+    with open(dst, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return want
+
+
+@pytest.mark.parametrize("how", ["nan", "inf", "word", "short", "no_key"])
+def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
+                                   capsys, how):
+    bad = str(tmp_path / "bad.txt")
+    want = _corrupt(dataset_path, bad, how)
+    capsys.readouterr()
+    assert cli.main(train_args(bad, str(tmp_path / "bad.bin"))) == 2
+    assert want in capsys.readouterr().err
+    assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
+                     "--dataset", bad, "--out", str(tmp_path / "ev")]) == 2
+    assert want in capsys.readouterr().err
+
+
 def test_out_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     assert cli.main(["gen", "--out", "rooted.txt", "--steps", "5",

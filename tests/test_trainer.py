@@ -91,23 +91,17 @@ def test_split_ranges_whole_trajectories(small_dataset):
 # ---------------------------------------------------------------------------
 # losses and weights
 
-def test_smooth_l1_values():
-    assert trainer.smooth_l1(1.0, 1.0, 1.0) == 0.0
-    assert trainer.smooth_l1(2.0, 0.0, 1.0) == pytest.approx(1.5)
-    beta = 0.4
-    d = beta
-    assert trainer.smooth_l1(d, 0.0, beta) == pytest.approx(0.5 * beta)
-    with pytest.raises(ValueError):
-        trainer.smooth_l1(1.0, 0.0, 0.0)
+def _stats(rows, delay, az, zn, gain_db):
+    """A row_stats-shaped dict with every row holding the same values."""
+    full = np.full(rows, 1.0)
+    return {"delay_spread": delay * full, "az_dod_spread": az * full,
+            "zn_dod_spread": zn * full, "az_doa_spread": az * full,
+            "zn_doa_spread": zn * full,
+            "gains_db": np.full((rows, 1), gain_db)}
 
 
 def test_calibrate_weights_reciprocal_mean():
-    bundles = [chanstats.StatBundle(delay_spread=500e-9, az_dod_spread=0.5,
-                                    zn_dod_spread=0.1, az_doa_spread=0.5,
-                                    zn_doa_spread=0.1,
-                                    gains_db=np.array([-100.0]))
-               for _ in range(4)]
-    w = trainer.calibrate_weights(bundles)
+    w = trainer.calibrate_weights(_stats(4, 500e-9, 0.5, 0.1, -100.0))
     assert w.alpha_tau == pytest.approx(2e6)
     assert w.alpha_az == pytest.approx(2.0)
     assert w.alpha_zn == pytest.approx(10.0)
@@ -115,25 +109,25 @@ def test_calibrate_weights_reciprocal_mean():
 
 
 def test_calibrate_weights_unit_stats_give_unit_weights():
-    bundles = [chanstats.StatBundle(1.0, 1.0, 1.0, 1.0, 1.0, np.array([1.0]))]
-    w = trainer.calibrate_weights(bundles)
+    w = trainer.calibrate_weights(_stats(1, 1.0, 1.0, 1.0, 1.0))
     for v in w.to_dict().values():
         assert v == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        trainer.calibrate_weights(_stats(0, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_calibrate_weights_clamp_on_zero_stats():
-    bundles = [chanstats.StatBundle(0.0, 0.0, 0.0, 0.0, 0.0, np.array([0.0]))]
-    w = trainer.calibrate_weights(bundles, alpha_max=1e12)
+    w = trainer.calibrate_weights(_stats(1, 0.0, 0.0, 0.0, 0.0),
+                                  alpha_max=1e12)
     assert w.alpha_tau == 1e12
 
 
 def test_calibration_normalizes_gscm_statistics(small_dataset):
-    bundles = [chanstats.stats_from_row(r, small_dataset.n_paths)
-               for r in small_dataset.rows]
-    w = trainer.calibrate_weights(bundles)
-    delay = np.mean([b.delay_spread for b in bundles])
-    az = np.mean([abs(b.az_dod_spread) for b in bundles]
-                 + [abs(b.az_doa_spread) for b in bundles])
+    stats = chanstats.row_stats(small_dataset.rows, small_dataset.n_paths)
+    w = trainer.calibrate_weights(stats)
+    delay = np.mean(stats["delay_spread"])
+    az = np.mean(np.abs(np.concatenate([stats["az_dod_spread"],
+                                        stats["az_doa_spread"]])))
     assert 0.5 <= w.alpha_tau * delay <= 2.0
     assert 0.5 <= w.alpha_az * az <= 2.0
 
