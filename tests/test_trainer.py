@@ -100,6 +100,20 @@ def _stats(rows, delay, az, zn, gain_db):
             "gains_db": np.full((rows, 1), gain_db)}
 
 
+def test_smooth_l1_values():
+    def loss(pred, true, beta):
+        gen = ad.tensor(np.array([[pred]]))
+        return trainer.predictive_loss(np.array([[true]]), gen, beta).data
+
+    assert loss(1.0, 1.0, 1.0) == 0.0
+    assert loss(2.0, 0.0, 1.0) == pytest.approx(1.5)
+    beta = 0.4
+    d = beta
+    assert loss(d, 0.0, beta) == pytest.approx(0.5 * beta)
+    with pytest.raises(ValueError):
+        loss(1.0, 0.0, 0.0)
+
+
 def test_calibrate_weights_reciprocal_mean():
     w = trainer.calibrate_weights(_stats(4, 500e-9, 0.5, 0.1, -100.0))
     assert w.alpha_tau == pytest.approx(2e6)
