@@ -8,13 +8,15 @@ departure/arrival angles. One trajectory point therefore yields a feature
 vector of length 4 + 7N: RX position, total gain, then per path
 (path id, gain, delay, azimuth/zenith departure, azimuth/zenith arrival).
 
-Dataset rows are stored in nanoseconds / degrees / dBm; all in-memory
-single-sample types use seconds / radians / dB.
+Synthesis is array-first: ``gen_trajectory`` walks the receiver and
+``channel_rows`` turns a whole (steps, 3) block of RX positions into rows
+in one pass. ``mpc_geometry`` and ``pathloss_db`` are the scalar reference,
+in seconds / radians / dB; dataset rows are stored in nanoseconds /
+degrees / dBm.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -68,84 +70,11 @@ def fixed_feature_cols(n_paths):
 
 
 # ---------------------------------------------------------------------------
-# domain types
-
-@dataclass(frozen=True)
-class ScattererField:
-    """Immutable set of scatterer positions, fixed for one simulation run."""
-
-    positions: np.ndarray  # (n, 3) meters
-    seed: int
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    position: np.ndarray  # (3,) meters, z fixed at the RX height
-    heading: float        # radians
-    step_index: int
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-
-
-@dataclass(frozen=True)
-class MpcFeatures:
-    """One multipath component: gain, delay, and the four path angles."""
-
-    path_id: int
-    gain_db: float   # dB, 0 dBm transmit power assumed
-    delay: float     # seconds
-    az_dod: float    # radians
-    zn_dod: float
-    az_doa: float
-    zn_doa: float
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """All multipath features observed at one trajectory point."""
-
-    rx_position: np.ndarray
-    total_gain_db: float
-    paths: tuple  # MpcFeatures ordered by path_id
-
-    def __post_init__(self):
-        pos = np.asarray(self.rx_position, dtype=np.float64).reshape(3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "rx_position", pos)
-
-    def to_row(self):
-        """Flatten to a dataset row: ns / degrees / dBm units."""
-        row = np.empty(feature_dim(len(self.paths)))
-        row[0:3] = self.rx_position
-        row[3] = self.total_gain_db
-        for k, p in enumerate(self.paths):
-            o = 4 + 7 * k
-            row[o] = p.path_id
-            row[o + 1] = p.gain_db
-            row[o + 2] = p.delay * 1e9
-            row[o + 3] = math.degrees(p.az_dod)
-            row[o + 4] = math.degrees(p.zn_dod)
-            row[o + 5] = math.degrees(p.az_doa)
-            row[o + 6] = math.degrees(p.zn_doa)
-        return row
-
-
-# ---------------------------------------------------------------------------
 # world construction
 
 def place_scatterers(n, bounds=DEFAULT_BOUNDS, seed=0):
-    """Draw n scatterer positions i.i.d. uniform inside the axis-aligned bounds."""
+    """Draw n scatterer positions i.i.d. uniform inside the axis-aligned
+    bounds; returns a read-only (n, 3) array in meters."""
     if n < 0:
         raise ValueError("scatterer count must be >= 0")
     for lo, hi in bounds:
@@ -153,7 +82,9 @@ def place_scatterers(n, bounds=DEFAULT_BOUNDS, seed=0):
             raise ValueError("invalid bound range [%g, %g]" % (lo, hi))
     rng = np.random.default_rng(seed)
     pos = np.column_stack([rng.uniform(lo, hi, size=n) for lo, hi in bounds])
-    return ScattererField(positions=pos.reshape(n, 3), seed=seed)
+    pos = pos.reshape(n, 3)
+    pos.setflags(write=False)
+    return pos
 
 
 def heading_angle_set(a_count):
@@ -168,81 +99,81 @@ def heading_angle_set(a_count):
     return 2.0 * np.pi * np.sin(arg)
 
 
-def step_rx(point, theta, delta2d):
-    """Advance the receiver one fixed-length step in the horizontal plane."""
-    if delta2d <= 0:
-        raise ValueError("step length must be positive")
-    x, y, z = point.position
-    pos = (x + delta2d * math.cos(theta), y + delta2d * math.sin(theta), z)
-    return TrajectoryPoint(position=np.array(pos), heading=theta,
-                           step_index=point.step_index + 1)
-
-
-def _d2d(pos, tx):
-    return math.hypot(pos[0] - tx[0], pos[1] - tx[1])
+def _d2d(x, y, tx):
+    return math.hypot(x - tx[0], y - tx[1])
 
 
 def gen_trajectory(start, steps, delta2d, headings, seed,
                    tx=DEFAULT_TX, max_d2d=600.0, hold_range=(100, 500),
                    max_redraws=100):
-    """Generate a receiver walk of ``steps`` points (including the start).
+    """Generate a receiver walk of ``steps`` points (including the start),
+    returned as a (steps, 3) array in meters; z stays at the start height.
 
     A heading is drawn uniformly from the heading set and held for H
     consecutive steps, H uniform on {hold_range[0], ..., hold_range[1]}.
     A fresh heading is drawn when the hold expires or when the horizontal
     TX-RX distance exceeds ``max_d2d``; in the latter case headings are
     redrawn until the next step strictly shrinks that distance (after
-    ``max_redraws`` tries the walk steps straight toward the TX).
+    ``max_redraws`` tries the walk steps straight toward the TX). Each step
+    moves ``delta2d`` meters along the current heading.
     """
     if steps < 1:
         raise ValueError("trajectory needs at least one point")
+    if delta2d <= 0:
+        raise ValueError("step length must be positive")
     headings = np.asarray(headings, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    start = np.asarray(start, dtype=np.float64)
-    points = [TrajectoryPoint(position=start, heading=0.0, step_index=0)]
+    x, y, z = map(float, start)
+    xs, ys = [x], [y]
     heading = 0.0
     hold = 0
     for _ in range(steps - 1):
-        pos = points[-1].position
-        if hold <= 0 or _d2d(pos, tx) > max_d2d:
-            if _d2d(pos, tx) > max_d2d:
-                heading = _escape_heading(pos, tx, headings, delta2d, rng, max_redraws)
+        far = _d2d(x, y, tx) > max_d2d
+        if hold <= 0 or far:
+            if far:
+                heading = _escape_heading(x, y, tx, headings, delta2d, rng,
+                                          max_redraws)
             else:
                 heading = headings[rng.integers(0, len(headings))]
             hold = int(rng.integers(hold_range[0], hold_range[1] + 1))
-        points.append(step_rx(points[-1], heading, delta2d))
+        x += delta2d * math.cos(heading)
+        y += delta2d * math.sin(heading)
+        xs.append(x)
+        ys.append(y)
         hold -= 1
-    return points
+    return np.column_stack((xs, ys, np.full(steps, z)))
 
 
-def _escape_heading(pos, tx, headings, delta2d, rng, max_redraws):
-    d_here = _d2d(pos, tx)
+def _escape_heading(x, y, tx, headings, delta2d, rng, max_redraws):
+    d_here = _d2d(x, y, tx)
     for _ in range(max_redraws):
         theta = headings[rng.integers(0, len(headings))]
-        nxt = (pos[0] + delta2d * math.cos(theta), pos[1] + delta2d * math.sin(theta))
-        if _d2d(nxt, tx) < d_here:
+        if _d2d(x + delta2d * math.cos(theta), y + delta2d * math.sin(theta),
+                tx) < d_here:
             return theta
-    return math.atan2(tx[1] - pos[1], tx[0] - pos[0])
+    return math.atan2(tx[1] - y, tx[0] - x)
 
 
 # ---------------------------------------------------------------------------
 # channel synthesis
 
 def pathloss_db(d3d, fc_ghz, h_rx):
-    """Urban-macro pathloss: distance in meters, carrier in GHz, RX height in m."""
+    """Urban-macro NLOS pathloss (3GPP TR 38.901 Table 7.4.1-1): distance in
+    meters, carrier in GHz, RX (UT) height in meters."""
     if d3d <= 0:
         raise ValueError("distance must be positive")
     if fc_ghz <= 0:
         raise ValueError("carrier frequency must be positive")
     return (13.54 + 39.08 * math.log10(d3d) + 20.0 * math.log10(fc_ghz)
-            - 0.6 * (h_rx - 1.5) ** 2)
+            - 0.6 * (h_rx - 1.5))
 
 
 def mpc_geometry(tx, rx, sc):
     """Delay and the four angles of the single-bounce path TX -> sc -> RX.
 
     Angles follow the arctan expressions of the source model, evaluated with
-    the two-argument arctangent so every result lies in (-pi, pi].
+    the two-argument arctangent so every result lies in (-pi, pi]. This is
+    the scalar reference for ``channel_rows``.
     """
     tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)
@@ -260,31 +191,63 @@ def mpc_geometry(tx, rx, sc):
     return delay, az_dod, zn_dod, az_doa, zn_doa
 
 
-def synthesize_sample(tx, rx_point, field, fc_ghz, rng=None):
-    """Compute the full multipath feature set at one trajectory point.
+# Elementwise ``math`` functions. The numpy ufuncs may differ from them in
+# the last ulp (SIMD implementations), and the dataset bytes must equal the
+# scalar reference above.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+_log10 = np.frompyfunc(math.log10, 1, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _norm3(d):
+    """Euclidean norm over the last axis of a (..., 3) array, bit-identical
+    to ``np.linalg.norm`` of each vector (both reduce with one dot)."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def channel_rows(tx, rx, scatterers, fc_ghz):
+    """Dataset rows (ns / degrees / dBm) for RX positions ``rx`` (steps, 3)
+    seeing the single-bounce paths through ``scatterers`` (N, 3).
 
     Per-path gain applies the pathloss law to the unfolded propagation
-    distance d(tx, sc) + d(sc, rx); each path also carries a random phase
-    which is drawn (when an rng is supplied) but not part of the features.
+    distance d(tx, sc) + d(sc, rx). Every value is bit-identical to
+    ``mpc_geometry`` and ``pathloss_db`` applied point by point and path by
+    path.
     """
-    if len(field) == 0:
+    sc = np.asarray(scatterers, dtype=np.float64).reshape(-1, 3)
+    rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
+    if len(sc) == 0:
         raise ValueError("scatterer field is empty")
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = rx_point.position
-    h_rx = float(rx[2])
-    paths = []
-    gains_lin = np.empty(len(field))
-    for k, sc in enumerate(field.positions):
-        delay, az_dod, zn_dod, az_doa, zn_doa = mpc_geometry(tx, rx, sc)
-        gain_db = -pathloss_db(delay * SPEED_OF_LIGHT, fc_ghz, h_rx)
-        if rng is not None:
-            rng.uniform(-2.0 * np.pi, 2.0 * np.pi)  # path phase, unused downstream
-        paths.append(MpcFeatures(path_id=k + 1, gain_db=gain_db, delay=delay,
-                                 az_dod=az_dod, zn_dod=zn_dod,
-                                 az_doa=az_doa, zn_doa=zn_doa))
-        gains_lin[k] = 10.0 ** (gain_db / 10.0)
-    total = 10.0 * math.log10(gains_lin.sum())
-    return ChannelSample(rx_position=rx, total_gain_db=total, paths=tuple(paths))
+    steps, n = len(rx), len(sc)
+    # RX -> scatterer and back, (steps, N, 3); both are computed rather than
+    # negated, so exact zeros keep the sign the scalar reference gives them
+    out = sc[None, :, :] - rx[:, None, :]
+    back = rx[:, None, :] - sc[None, :, :]
+    d_tx_sc = _norm3(sc - np.asarray(tx, dtype=np.float64))
+    d_sc_rx = _norm3(back)
+    if not (d_tx_sc.all() and d_sc_rx.all()):
+        raise ValueError("scatterer coincides with an endpoint")
+    delay = (d_tx_sc + d_sc_rx) / SPEED_OF_LIGHT
+    d2d = _hypot(out[..., 0], out[..., 1])
+    angles = (_atan2(out[..., 1], out[..., 0]), _atan2(d2d, back[..., 2]),
+              _atan2(back[..., 1], back[..., 0]), _atan2(d2d, out[..., 2]))
+    # pathloss_db in the same operation order; the RX height is per point
+    log_fc = 20.0 * math.log10(fc_ghz)
+    height = 0.6 * (rx[:, 2:3] - 1.5)
+    gain_db = -((13.54 + 39.08 * _log10(delay * SPEED_OF_LIGHT).astype(float)
+                 + log_fc) - height)
+    lin = _pow(10.0, gain_db / 10.0).astype(float)
+    rows = np.empty((steps, feature_dim(n)))
+    rows[:, 0:3] = rx
+    rows[:, 3] = 10.0 * _log10(lin.sum(axis=1)).astype(float)
+    paths = rows[:, 4:].reshape(steps, n, 7)
+    paths[..., 0] = np.arange(1, n + 1)
+    paths[..., 1] = gain_db
+    paths[..., 2] = delay * 1e9
+    for j, ang in enumerate(angles):
+        paths[..., 3 + j] = np.degrees(ang.astype(float))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +273,9 @@ class Dataset:
             start += n
         return out
 
-    def sha256(self):
-        return hashlib.sha256(self.rows.tobytes()).hexdigest()
+
+# trajectory points per channel_rows call in synthesize_dataset
+_CHUNK_POINTS = 1024
 
 
 def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
@@ -324,23 +288,24 @@ def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
     can later be generated independently without changing the output.
     """
     ss = np.random.SeedSequence(seed)
+    # sub-seed 0 places the field and 1 + 2t walks trajectory t; 2 + 2t is
+    # unused but kept, so that no other sub-seed (and no dataset) shifts
     subseeds = [int(s) for s in ss.generate_state(2 * trajectories + 1, dtype=np.uint64)]
     field = place_scatterers(n_paths, bounds, seed=subseeds[0])
     headings = heading_angle_set(heading_count)
-    h_rx = float(rx_start[2])
-    blocks = []
+    rows = np.empty((trajectories * steps, feature_dim(n_paths)))
     for t in range(trajectories):
         traj = gen_trajectory(rx_start, steps, delta2d, headings,
                               seed=subseeds[1 + 2 * t], tx=tx, max_d2d=max_d2d,
                               hold_range=hold_range)
-        phase_rng = np.random.default_rng(subseeds[2 + 2 * t])
-        block = np.empty((steps, feature_dim(n_paths)))
-        for i, pt in enumerate(traj):
-            block[i] = synthesize_sample(tx, pt, field, fc_ghz, rng=phase_rng).to_row()
-        blocks.append(block)
-    return Dataset(rows=np.vstack(blocks), n_paths=n_paths, fc_ghz=fc_ghz,
-                   delta2d=delta2d, h_rx=h_rx, seed=seed,
-                   traj_steps=tuple(len(b) for b in blocks))
+        # a chunk at a time, so the per-path temporaries stay small
+        for lo in range(0, steps, _CHUNK_POINTS):
+            hi = min(lo + _CHUNK_POINTS, steps)
+            rows[t * steps + lo:t * steps + hi] = channel_rows(
+                tx, traj[lo:hi], field, fc_ghz)
+    return Dataset(rows=rows, n_paths=n_paths, fc_ghz=fc_ghz,
+                   delta2d=delta2d, h_rx=float(rx_start[2]), seed=seed,
+                   traj_steps=(steps,) * trajectories)
 
 
 _DATASET_MAGIC = "# ddgen dataset v1"
@@ -354,10 +319,11 @@ def write_dataset(ds, path):
              "# traj_steps=%s" % ",".join(str(n) for n in ds.traj_steps),
              "# columns: x y z g then per path: n g_n tau_ns az_dod_deg "
              "zn_dod_deg az_doa_deg zn_doa_deg"]
+    fmt = " ".join(["%.17g"] * ds.rows.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
         for row in ds.rows:
-            f.write(" ".join("%.17g" % v for v in row) + "\n")
+            f.write(fmt % tuple(row.tolist()))
 
 
 _HEADER_KEYS = ("n_paths", "fc_ghz", "delta2d", "h_rx", "seed", "traj_steps")

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import adtensor as ad
 from . import chanstats, gscm
+from .config import ConfigError
 from .htransformer import ModelConfig, hybrid_forward, init_params
 
 # Smoothing floors inside the loss-side spread computations: sqrt(S^2 + eps)
@@ -448,6 +449,18 @@ def load_train_checkpoint(path):
     return params, scaler, opt_arrays, meta
 
 
+def _check_resume(meta, model_cfg, settings, n_paths):
+    """A checkpoint resumes only the run that wrote it: the path count, the
+    loss mode and every model key must match the request."""
+    have = {"n_paths": meta["n_paths"], "mode": meta["settings"]["mode"],
+            **meta["model"]}
+    want = {"n_paths": n_paths, "mode": settings.mode, **model_cfg.to_dict()}
+    for key, val in want.items():
+        if have.get(key) != val:
+            raise ConfigError("cannot resume: checkpoint has %s=%r, this run "
+                              "asks for %s=%r" % (key, have.get(key), key, val))
+
+
 def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
     """Run the optimization loop and write the final checkpoint.
 
@@ -458,10 +471,13 @@ def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
     if settings.mode not in ("gen", "pred"):
         raise ValueError("mode must be 'gen' or 'pred'")
     model_cfg.validate()
+    model_cfg = ModelConfig(**{**model_cfg.to_dict(),
+                               "dropout": settings.dropout})
     train_ranges, _ = split_ranges(dataset, settings.train_frac)
     train_rows = np.vstack([dataset.rows[lo:hi] for lo, hi in train_ranges])
     if resume_from is not None:
         params, scaler, opt_arrays, meta = load_train_checkpoint(resume_from)
+        _check_resume(meta, model_cfg, settings, dataset.n_paths)
         weights = (LossWeights.from_dict(meta["weights"])
                    if meta["weights"] else None)
         opt = AdamW(params, weight_decay=settings.weight_decay)
@@ -490,8 +506,6 @@ def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
     if not windows:
         raise ValueError("training split too short for lag=%d window=%d"
                          % (model_cfg.lag, model_cfg.window))
-    model_cfg = ModelConfig(**{**model_cfg.to_dict(),
-                               "dropout": settings.dropout})
     trace = []
     last_good = None
     for epoch in range(start_epoch, settings.epochs):

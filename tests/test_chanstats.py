@@ -200,8 +200,7 @@ def _scalar_row_stats(row, n_paths):
 def test_window_stats_composition():
     tx = (0.0, 0.0, 25.0)
     field = gscm.place_scatterers(4, seed=3)
-    pt = gscm.TrajectoryPoint(position=(80, 60, 1.5), heading=0.0, step_index=0)
-    row = gscm.synthesize_sample(tx, pt, field, 2.4).to_row()
+    row = gscm.channel_rows(tx, [(80, 60, 1.5)], field, 2.4)[0]
     stats = chanstats.row_stats(np.stack([row] * 3), 4)
     assert set(stats) == set(chanstats.STAT_NAMES) | {"gains_db"}
     for name in chanstats.STAT_NAMES:
@@ -218,35 +217,41 @@ def test_window_stats_composition():
         chanstats.row_stats(np.stack([row] * 3), 3)
 
 
+def _si_paths(tx, rx, field, fc_ghz):
+    """Per-path SI values from the scalar geometry and pathloss reference:
+    gains (dB) and the columns delay (s), az/zn DoD, az/zn DoA (rad)."""
+    geo = np.array([gscm.mpc_geometry(tx, rx, sc) for sc in field])
+    gains = np.array([-gscm.pathloss_db(d * gscm.SPEED_OF_LIGHT, fc_ghz,
+                                        rx[2]) for d in geo[:, 0]])
+    return gains, geo
+
+
 def test_window_stats_match_oracle_on_gscm_window():
+    tx = (0, 0, 25)
     field = gscm.place_scatterers(6, seed=13)
     headings = gscm.heading_angle_set(50)
     traj = gscm.gen_trajectory((100, 100, 1.5), 100, 1.0, headings, seed=13)
-    samples = [gscm.synthesize_sample((0, 0, 25), p, field, 2.4) for p in traj]
-    stats = chanstats.row_stats(np.stack([s.to_row() for s in samples]), 6)
-    for i, s in enumerate(samples):
-        p = [10.0 ** (q.gain_db / 10.0) for q in s.paths]
+    stats = chanstats.row_stats(gscm.channel_rows(tx, traj, field, 2.4), 6)
+    for i, rx in enumerate(traj):
+        gains, geo = _si_paths(tx, rx, field, 2.4)
+        p = list(10.0 ** (gains / 10.0))
         assert abs(stats["delay_spread"][i] -
-                   oracle_delay_spread(p, [q.delay for q in s.paths])) < 1e-10
+                   oracle_delay_spread(p, geo[:, 0])) < 1e-10
         assert abs(stats["zn_doa_spread"][i] -
-                   oracle_angular_spread(p, [q.zn_doa for q in s.paths])) < 1e-10
+                   oracle_angular_spread(p, geo[:, 4])) < 1e-10
 
 
 def test_row_stats_consistent_with_sample_units():
-    # file units (ns, degrees) in the row, SI units in the sample's paths
+    # file units (ns, degrees) in the row, SI units from the scalar reference
+    tx, rx = (0, 0, 25), (90, -40, 1.5)
     field = gscm.place_scatterers(5, seed=17)
-    pt = gscm.TrajectoryPoint(position=(90, -40, 1.5), heading=0.0,
-                              step_index=0)
-    sample = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
-    stats = chanstats.row_stats(sample.to_row()[None], 5)
-    gains = np.array([p.gain_db for p in sample.paths])
+    stats = chanstats.row_stats(gscm.channel_rows(tx, [rx], field, 2.4), 5)
+    gains, geo = _si_paths(tx, rx, field, 2.4)
     powers = 10.0 ** (gains / 10.0)
     assert stats["delay_spread"][0] == pytest.approx(
-        chanstats.rms_delay_spread(powers, [p.delay for p in sample.paths]),
-        rel=1e-12)
-    for name in ("az_dod", "zn_dod", "az_doa", "zn_doa"):
-        want = chanstats.rms_angular_spread(
-            powers, [getattr(p, name) for p in sample.paths])
+        chanstats.rms_delay_spread(powers, geo[:, 0]), rel=1e-12)
+    for k, name in enumerate(("az_dod", "zn_dod", "az_doa", "zn_doa")):
+        want = chanstats.rms_angular_spread(powers, geo[:, 1 + k])
         assert stats[name + "_spread"][0] == pytest.approx(want, rel=1e-9)
     assert np.allclose(stats["gains_db"][0], gains)
 

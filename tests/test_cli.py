@@ -247,6 +247,28 @@ def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
     assert want in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,change", [
+    ("mode", ["--mode", "gen"]),
+    ("d_model", ["--set", "d_model=12"]),
+    ("n_paths", None),
+])
+def test_resume_mismatch_exits_1(tmp_path, dataset_path, capsys, key, change):
+    ckpt = str(tmp_path / "pred.bin")
+    assert cli.main(train_args(dataset_path, ckpt, mode="pred",
+                               epochs=1)) == 0
+    args = train_args(dataset_path, str(tmp_path / "res.bin"), mode="pred")
+    if change is None:  # a dataset with one more path than the checkpoint's
+        other = str(tmp_path / "ds3.txt")
+        assert cli.main(gen_args(other)[:-1] + ["n_scatterers=3"]) == 0
+        args = train_args(other, str(tmp_path / "res.bin"), mode="pred")
+    else:
+        args += change
+    capsys.readouterr()
+    assert cli.main(args + ["--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "checkpoint has %s=" % key in err
+
+
 def test_out_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     assert cli.main(["gen", "--out", "rooted.txt", "--steps", "5",

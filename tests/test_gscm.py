@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from ddgen import gscm
 
 def test_place_scatterers_within_bounds():
     field = gscm.place_scatterers(26, seed=5)
-    assert len(field) == 26
-    for (lo, hi), axis in zip(gscm.DEFAULT_BOUNDS, field.positions.T):
+    assert field.shape == (26, 3)
+    for (lo, hi), axis in zip(gscm.DEFAULT_BOUNDS, field.T):
         assert axis.min() >= lo and axis.max() <= hi
 
 
@@ -24,13 +25,13 @@ def test_place_scatterers_empty_and_errors():
 def test_place_scatterers_deterministic():
     a = gscm.place_scatterers(26, seed=99)
     b = gscm.place_scatterers(26, seed=99)
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_scatterer_field_immutable():
     field = gscm.place_scatterers(4, seed=0)
     with pytest.raises(ValueError):
-        field.positions[0, 0] = 1.0
+        field[0, 0] = 1.0
 
 
 def test_heading_angle_set_values():
@@ -43,33 +44,36 @@ def test_heading_angle_set_values():
         gscm.heading_angle_set(1)
 
 
-def test_step_rx_cardinal_directions():
-    p0 = gscm.TrajectoryPoint(position=(0.0, 0.0, 1.5), heading=0.0, step_index=0)
-    east = gscm.step_rx(p0, 0.0, 1.0)
-    assert np.allclose(east.position, [1.0, 0.0, 1.5], atol=1e-15)
-    north = gscm.step_rx(p0, np.pi / 2, 1.0)
-    assert abs(north.position[1] - 1.0) < 1e-12
-    assert abs(north.position[0]) < 1e-12
-    diag = gscm.step_rx(p0, np.pi / 4, 1.0)
-    assert abs(diag.position[0] - 0.7071067811865476) < 1e-12
-    assert abs(diag.position[1] - 0.7071067811865476) < 1e-12
-    assert east.step_index == 1
+def _one_step(theta, delta2d=1.0):
+    # a one-heading menu: the walk's second point is one step along theta
+    return gscm.gen_trajectory((0.0, 0.0, 1.5), 2, delta2d, [theta], seed=0)
+
+
+def test_trajectory_cardinal_directions():
+    east = _one_step(0.0)
+    assert east.shape == (2, 3)
+    assert np.allclose(east[1], [1.0, 0.0, 1.5], atol=1e-15)
+    north = _one_step(np.pi / 2)
+    assert abs(north[1, 1] - 1.0) < 1e-12
+    assert abs(north[1, 0]) < 1e-12
+    diag = _one_step(np.pi / 4)
+    assert abs(diag[1, 0] - 0.7071067811865476) < 1e-12
+    assert abs(diag[1, 1] - 0.7071067811865476) < 1e-12
     with pytest.raises(ValueError):
-        gscm.step_rx(p0, 0.0, 0.0)
+        _one_step(0.0, delta2d=0.0)
 
 
 def test_trajectory_single_step_is_start():
     traj = gscm.gen_trajectory((100, 100, 1.5), 1, 1.0,
                                gscm.heading_angle_set(50), seed=3)
-    assert len(traj) == 1
-    assert np.allclose(traj[0].position, [100, 100, 1.5])
+    assert traj.shape == (1, 3)
+    assert np.allclose(traj[0], [100, 100, 1.5])
 
 
 def test_trajectory_step_length_invariant():
     headings = gscm.heading_angle_set(50)
     for delta in (0.5, 1.0, 1.5):
-        traj = gscm.gen_trajectory((100, 100, 1.5), 500, delta, headings, seed=8)
-        pos = np.array([p.position for p in traj])
+        pos = gscm.gen_trajectory((100, 100, 1.5), 500, delta, headings, seed=8)
         d = np.hypot(np.diff(pos[:, 0]), np.diff(pos[:, 1]))
         assert np.abs(d - delta).max() < 1e-9
         assert np.all(pos[:, 2] == 1.5)
@@ -78,8 +82,7 @@ def test_trajectory_step_length_invariant():
 def test_trajectory_boundary_bound():
     # the re-heading rule keeps the walk within one step of the boundary
     headings = gscm.heading_angle_set(50)
-    traj = gscm.gen_trajectory((100, 100, 1.5), 100000, 1.0, headings, seed=12)
-    pos = np.array([p.position for p in traj])
+    pos = gscm.gen_trajectory((100, 100, 1.5), 100000, 1.0, headings, seed=12)
     d2d = np.hypot(pos[:, 0], pos[:, 1])
     assert d2d.max() <= 600 + 1.0 * 501
     assert d2d.max() <= 601.0 + 1e-9
@@ -89,8 +92,7 @@ def test_trajectory_deterministic():
     headings = gscm.heading_angle_set(50)
     a = gscm.gen_trajectory((100, 100, 1.5), 3000, 1.0, headings, seed=21)
     b = gscm.gen_trajectory((100, 100, 1.5), 3000, 1.0, headings, seed=21)
-    assert np.array_equal(np.array([p.position for p in a]),
-                          np.array([p.position for p in b]))
+    assert np.array_equal(a, b)
 
 
 def test_pathloss_reference_values():
@@ -102,6 +104,12 @@ def test_pathloss_height_correction_vanishes_at_reference_height():
     base = 13.54 + 39.08 * math.log10(250.0) + 20 * math.log10(3.5)
     assert gscm.pathloss_db(250.0, 3.5, 1.5) == pytest.approx(base, abs=1e-12)
     assert gscm.pathloss_db(250.0, 3.5, 2.5) == pytest.approx(base - 0.6, abs=1e-12)
+
+
+def test_pathloss_height_term_is_linear():
+    # TR 38.901 UMa NLOS: -0.6 (h_UT - 1.5), not its square
+    assert abs(gscm.pathloss_db(100, 2.4, 3.5) - 98.1042) < 1e-4
+    assert abs(gscm.pathloss_db(100, 2.4, 1.0) - 99.6042) < 1e-4
 
 
 def test_pathloss_monotone_in_distance():
@@ -159,23 +167,21 @@ def test_mpc_geometry_rejects_degenerate():
         gscm.mpc_geometry((0, 0, 25), (1, 2, 1.5), (0, 0, 25))
 
 
-def test_synthesize_sample_single_path_total_gain():
-    field = gscm.ScattererField(positions=np.array([[50.0, 0.0, 10.0]]), seed=0)
-    pt = gscm.TrajectoryPoint(position=(100, 0, 1.5), heading=0.0, step_index=0)
-    sample = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
-    assert sample.total_gain_db == pytest.approx(sample.paths[0].gain_db,
-                                                 rel=1e-15)
+TX = (0.0, 0.0, 25.0)
+
+
+def test_channel_rows_single_path_total_gain():
+    row = gscm.channel_rows(TX, [(100, 0, 1.5)], [[50.0, 0.0, 10.0]], 2.4)[0]
+    assert row[3] == pytest.approx(row[5], rel=1e-15)
 
 
 def test_total_gain_two_equal_paths():
     # two -100 dB paths combine to 10*log10(2e-10)
     sc = np.array([[50.0, 0.0, 10.0], [50.0, 0.0, 10.0]])
-    field = gscm.ScattererField(positions=sc, seed=0)
-    pt = gscm.TrajectoryPoint(position=(100, 0, 1.5), heading=0.0, step_index=0)
-    sample = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
-    g = sample.paths[0].gain_db
-    assert sample.total_gain_db == pytest.approx(g + 10 * math.log10(2.0),
-                                                 abs=1e-10)
+    row = gscm.channel_rows(TX, [(100, 0, 1.5)], sc, 2.4)[0]
+    g = row[5]
+    assert row[12] == g
+    assert row[3] == pytest.approx(g + 10 * math.log10(2.0), abs=1e-10)
     assert abs((10 * math.log10(2e-10)) - (-96.9897)) < 1e-4
 
 
@@ -188,28 +194,120 @@ def test_total_gain_dominates_per_path(small_dataset):
 
 def test_sample_vector_length_n26():
     field = gscm.place_scatterers(26, seed=7)
-    pt = gscm.TrajectoryPoint(position=(100, 100, 1.5), heading=0.0,
-                              step_index=0)
-    row = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4).to_row()
-    assert row.shape == (186,)
+    rows = gscm.channel_rows(TX, [(100, 100, 1.5)], field, 2.4)
+    assert rows.shape == (1, 186)
     assert gscm.feature_dim(26) == 186
 
 
-def test_synthesize_sample_rejects_empty_field():
+def test_channel_rows_reject_empty_field():
     field = gscm.place_scatterers(0, seed=1)
-    pt = gscm.TrajectoryPoint(position=(100, 100, 1.5), heading=0.0,
-                              step_index=0)
-    with pytest.raises(ValueError):
-        gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
+    with pytest.raises(ValueError, match="empty"):
+        gscm.channel_rows(TX, [(100, 100, 1.5)], field, 2.4)
+
+
+def test_channel_rows_reject_scatterer_on_an_endpoint():
+    rx = [(100, 100, 1.5), (101, 100, 1.5)]
+    for sc in ([TX], [(20, 30, 5), (101, 100, 1.5)]):
+        with pytest.raises(ValueError, match="coincides"):
+            gscm.channel_rows(TX, rx, sc, 2.4)
 
 
 def test_gain_uses_unfolded_path_distance():
-    field = gscm.ScattererField(positions=np.array([[50.0, 0.0, 10.0]]), seed=0)
-    pt = gscm.TrajectoryPoint(position=(100, 0, 1.5), heading=0.0, step_index=0)
-    sample = gscm.synthesize_sample((0, 0, 25), pt, field, 2.4)
-    d_total = sample.paths[0].delay * gscm.SPEED_OF_LIGHT
-    assert sample.paths[0].gain_db == pytest.approx(
-        -gscm.pathloss_db(d_total, 2.4, 1.5), rel=1e-15)
+    sc, rx = (50.0, 0.0, 10.0), (100, 0, 1.5)
+    row = gscm.channel_rows(TX, [rx], [sc], 2.4)[0]
+    delay = gscm.mpc_geometry(TX, rx, sc)[0]
+    assert row[6] == delay * 1e9
+    d_total = delay * gscm.SPEED_OF_LIGHT
+    assert row[5] == pytest.approx(-gscm.pathloss_db(d_total, 2.4, 1.5),
+                                   rel=1e-15)
+
+
+def _oracle_rows(tx, rx_points, scatterers, fc_ghz):
+    """Rows built point by point and path by path from the scalar
+    reference, in the dataset's units and operation order."""
+    out = []
+    for rx in rx_points:
+        paths, lin = [], []
+        for k, sc in enumerate(scatterers):
+            delay, *angles = gscm.mpc_geometry(tx, rx, sc)
+            gain = -gscm.pathloss_db(delay * gscm.SPEED_OF_LIGHT, fc_ghz,
+                                     float(rx[2]))
+            lin.append(10.0 ** (gain / 10.0))
+            paths += [k + 1, gain, delay * 1e9] + [math.degrees(a)
+                                                   for a in angles]
+        total = 10.0 * math.log10(np.array(lin).sum())
+        out.append(list(rx) + [total] + paths)
+    return np.array(out, dtype=np.float64)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    diff = got.view(np.uint64) != want.view(np.uint64)
+    assert not diff.any(), "%d of %d values differ, first at %s" % (
+        diff.sum(), diff.size, np.argwhere(diff)[0])
+
+
+def test_channel_rows_match_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(2718)
+    for n in (1, 3, 9, 26):
+        tx = tuple(rng.uniform(-50, 50, 2)) + (rng.uniform(10, 40),)
+        sc = gscm.place_scatterers(n, seed=int(rng.integers(1 << 30)))
+        rx = np.column_stack((rng.uniform(-600, 600, (500, 2)),
+                              rng.uniform(0.5, 30, 500)))
+        fc = float(rng.uniform(0.5, 60))
+        _assert_bitwise_equal(gscm.channel_rows(tx, rx, sc, fc),
+                              _oracle_rows(tx, rx, sc, fc))
+
+
+def test_channel_rows_match_scalar_oracle_on_edge_geometry():
+    rx = np.array([[10.0, 5.0, 1.5], [40.0, 5.0, 1.5], [-7.0, 5.0, 12.0]])
+    sc = np.array([[10.0, 5.0, 20.0],    # straight above the first point
+                   [40.0, 5.0, 12.0],    # straight above the second
+                   [-7.0, 5.0, 0.0],     # straight below the third
+                   [25.0, 5.0, 1.5]])    # level with, and in line with, all
+    _assert_bitwise_equal(gscm.channel_rows(TX, rx, sc, 2.4),
+                          _oracle_rows(TX, rx, sc, 2.4))
+    one = sc[:1]
+    _assert_bitwise_equal(gscm.channel_rows(TX, rx, one, 2.4),
+                          _oracle_rows(TX, rx, one, 2.4))
+    row = gscm.channel_rows(TX, rx[:1], one, 2.4)[0]
+    assert row[9] == 0.0 and row[10] == 0.0  # arrival from straight above
+    assert row[3] == row[5]                  # a single path is the total
+
+
+def test_synthesized_rows_match_scalar_oracle():
+    # the rows of a whole dataset, trajectory by trajectory; each trajectory
+    # is longer than one synthesis chunk
+    steps = gscm._CHUNK_POINTS + 300
+    ds = gscm.synthesize_dataset(n_paths=3, steps=steps, seed=42,
+                                 trajectories=2, hold_range=(5, 50))
+    ss = np.random.SeedSequence(42)
+    field = gscm.place_scatterers(3, seed=int(ss.generate_state(
+        5, dtype=np.uint64)[0]))
+    assert ds.traj_ranges() == [(0, steps), (steps, 2 * steps)]
+    for start, stop in ds.traj_ranges():
+        rx = ds.rows[start:stop, 0:3]
+        _assert_bitwise_equal(ds.rows[start:stop],
+                              _oracle_rows(gscm.DEFAULT_TX, rx, field, 2.4))
+
+
+# sha256 of write_dataset output, pinned when synthesis was scalar: any
+# change to these bytes is a change of the dataset format or of the world
+GOLDEN_DATASETS = (
+    (dict(n_paths=3, steps=120, seed=42, fc_ghz=2.4, delta2d=1.0,
+          trajectories=2),
+     "32336cd0cd819f5b0e45fed2259c0f6317622a76b1e106c7de68597263098b5a"),
+    (dict(n_paths=26, steps=60, seed=2024, fc_ghz=3.5, delta2d=1.5,
+          trajectories=3, hold_range=(5, 20), max_d2d=150.0),
+     "d24417fecfde3f451ae13c2c11e095b70d5febf6e5b08d3146410a159bb6b746"),
+)
+
+
+@pytest.mark.parametrize("kwargs,digest", GOLDEN_DATASETS)
+def test_dataset_golden_bytes(tmp_path, kwargs, digest):
+    path = tmp_path / "ds.txt"
+    gscm.write_dataset(gscm.synthesize_dataset(**kwargs), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_dataset_determinism_and_roundtrip(tmp_path, small_dataset):
