@@ -9,7 +9,6 @@ output files are byte-identical across reruns. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -83,14 +82,6 @@ def _resolve_config(args):
     return cfg.validate()
 
 
-def _file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(out_path, command, cfg, inputs, outputs):
     manifest = {
         "command": command,
@@ -98,7 +89,7 @@ def _write_manifest(out_path, command, cfg, inputs, outputs):
         "inputs": inputs,
         "outputs": outputs,
     }
-    path = out_path + ".manifest.json"
+    path = out_path + gscm.MANIFEST_SUFFIX
     with open(path, "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -117,9 +108,9 @@ def cmd_gen(args):
         tx=cfg.tx(), rx_start=cfg.rx_start(), heading_count=cfg.heading_count,
         trajectories=cfg.trajectories, max_d2d=cfg.max_d2d,
         hold_range=(cfg.hold_min, cfg.hold_max))
-    gscm.write_dataset(ds, out)
+    digests = gscm.write_dataset(ds, out)
     manifest = _write_manifest(out, "gen", cfg, {},
-                               {"dataset": out, "sha256": _file_sha256(out)})
+                               {"dataset": out, **digests})
     g = ds.rows[:, 3]
     print("wrote %s: %d rows x %d features (%d trajectories)"
           % (out, ds.rows.shape[0], ds.rows.shape[1], len(ds.traj_steps)))
@@ -154,7 +145,7 @@ def cmd_train(args):
     trainer.write_trace(trace_path, result.trace, cfg.to_dict())
     manifest = _write_manifest(out, "train", cfg,
                                {"dataset": args.dataset,
-                                "sha256": _file_sha256(args.dataset)},
+                                "sha256": ds.sha256},
                                {"checkpoint": out, "trace": trace_path})
     for epoch, loss, lr in result.trace:
         print("epoch %3d  loss %.6g  lr %.3g" % (epoch, loss, lr))
@@ -236,7 +227,7 @@ def cmd_evaluate(args):
     _write_cdf_files(payload["cdfs"], out_dir)
     _write_manifest(report_path, "evaluate", meta["settings"],
                     {"checkpoint": args.checkpoint, "dataset": args.dataset,
-                     "dataset_sha256": _file_sha256(args.dataset)},
+                     "dataset_sha256": ds.sha256},
                     {"report": report_path, "cells": cells_path,
                      "table": table_path})
     for cell in cells:

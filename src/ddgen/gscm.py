@@ -13,10 +13,22 @@ Synthesis is array-first: ``gen_trajectory`` walks the receiver and
 in one pass. ``mpc_geometry`` and ``pathloss_db`` are the scalar reference,
 in seconds / radians / dB; dataset rows are stored in nanoseconds /
 degrees / dBm.
+
+A dataset file ``<path>`` is plain text (header, then one %.17g row per
+trajectory point) and is the canonical format. ``write_dataset`` also
+writes the row matrix as ``<path>.npy``, the binary twin, and returns the
+sha256 of both files, which ``ddgen gen`` records in
+``<path>.manifest.json``. ``read_dataset`` returns the twin's rows only
+when that manifest binds the twin to the exact text bytes being read;
+otherwise it parses the text. Deleting the twin is always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -264,6 +276,7 @@ class Dataset:
     h_rx: float
     seed: int
     traj_steps: tuple  # rows per trajectory, in file order
+    sha256: str | None = None  # digest of the file it was read from
 
     def traj_ranges(self):
         """Half-open row ranges, one per trajectory."""
@@ -310,9 +323,22 @@ def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
 
 _DATASET_MAGIC = "# ddgen dataset v1"
 
+# ``gen`` writes the row matrix of dataset ``<path>`` again as ``<path>.npy``
+# (the twin) and its manifest as ``<path>.manifest.json``.
+TWIN_SUFFIX = ".npy"
+MANIFEST_SUFFIX = ".manifest.json"
+# rows formatted, hashed and written per call in write_dataset
+_WRITE_ROWS = 256
+
 
 def write_dataset(ds, path):
-    """Plain-text dataset: commented header, then one %.17g row per step."""
+    """Write the plain-text dataset (commented header, then one %.17g row
+    per step) and its binary twin ``path + TWIN_SUFFIX``.
+
+    Returns the entries of the gen manifest's ``outputs`` that bind the twin
+    to the text, both digests taken from the bytes written: the text's
+    ``sha256``, the twin's path ``rows`` and its ``rows_sha256``.
+    """
     lines = [_DATASET_MAGIC,
              "# n_paths=%d fc_ghz=%.17g delta2d=%.17g h_rx=%.17g seed=%d" %
              (ds.n_paths, ds.fc_ghz, ds.delta2d, ds.h_rx, ds.seed),
@@ -320,44 +346,113 @@ def write_dataset(ds, path):
              "# columns: x y z g then per path: n g_n tau_ns az_dod_deg "
              "zn_dod_deg az_doa_deg zn_doa_deg"]
     fmt = " ".join(["%.17g"] * ds.rows.shape[1]) + "\n"
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        for row in ds.rows:
-            f.write(fmt % tuple(row.tolist()))
+
+    def texts():
+        yield "\n".join(lines) + "\n"
+        for lo in range(0, len(ds.rows), _WRITE_ROWS):
+            block = ds.rows[lo:lo + _WRITE_ROWS].tolist()
+            yield "".join([fmt % tuple(row) for row in block])
+
+    text_sha = hashlib.sha256()
+    with open(path, "wb") as f:
+        for text in texts():
+            data = text.encode("ascii")
+            text_sha.update(data)
+            f.write(data)
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(ds.rows, dtype=np.float64))
+    twin = buf.getvalue()
+    with open(path + TWIN_SUFFIX, "wb") as f:
+        f.write(twin)
+    return {"sha256": text_sha.hexdigest(), "rows": path + TWIN_SUFFIX,
+            "rows_sha256": hashlib.sha256(twin).hexdigest()}
 
 
-_HEADER_KEYS = ("n_paths", "fc_ghz", "delta2d", "h_rx", "seed", "traj_steps")
+def _count(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError("%d is not a positive count" % n)
+    return n
+
+
+def _counts(text):
+    return tuple(_count(v) for v in text.split(","))
+
+
+_HEADER_KEYS = (("n_paths", _count), ("fc_ghz", float), ("delta2d", float),
+                ("h_rx", float), ("seed", int), ("traj_steps", _counts))
 
 
 def read_dataset(path):
-    """Parse a dataset file; malformed input raises ValueError naming the
-    file and the offending line or header key."""
+    """Read a dataset file; malformed input raises ValueError naming the
+    file and the offending line or header key.
+
+    The text is canonical. Its rows are parsed unless the gen manifest
+    beside it binds the twin to these exact text bytes (see
+    ``_bound_rows``), in which case the twin's rows are returned.
+    ``write_dataset`` writes both from one matrix, so either way the rows
+    are the same values bit for bit. Header keys are read from the comment
+    lines before the first row; later comment lines are skipped.
+    """
+    text_sha = hashlib.sha256()
     meta = {}
-    rows, line_nos = [], []
-    with open(path) as f:
-        first = f.readline().rstrip("\n")
-        if first != _DATASET_MAGIC:
+    with open(path, "rb") as f:
+        first = f.readline()
+        if first.rstrip(b"\n") != _DATASET_MAGIC.encode():
             raise ValueError("not a ddgen dataset: %s" % path)
-        for line_no, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, val = tok.split("=", 1)
-                        meta[key] = val
-                continue
+        text_sha.update(first)
+        # the header: comment and blank lines up to the first row
+        for line_no in itertools.count(2):
+            rows_start = f.tell()
+            line = f.readline()
+            text = line.strip()
+            if not line or (text and not text.startswith(b"#")):
+                break
+            text_sha.update(line)
+            for tok in text[1:].decode("utf-8", "replace").split():
+                if "=" in tok:
+                    key, val = tok.split("=", 1)
+                    meta[key] = val
+        f.seek(rows_start)
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            text_sha.update(chunk)
+        values = {}
+        for key, kind in _HEADER_KEYS:
+            if key not in meta:
+                raise ValueError("%s: dataset header lacks %r" % (path, key))
             try:
-                rows.append(np.array(line.split(), dtype=np.float64))
+                values[key] = kind(meta[key])
             except ValueError:
-                raise ValueError("%s: line %d: not a row of numbers"
-                                 % (path, line_no)) from None
-            line_nos.append(line_no)
-    missing = [key for key in _HEADER_KEYS if key not in meta]
-    if missing:
-        raise ValueError("%s: dataset header lacks %r" % (path, missing[0]))
-    n_paths = int(meta["n_paths"])
+                raise ValueError("%s: header key %r: invalid value %r"
+                                 % (path, key, meta[key])) from None
+        width = feature_dim(values["n_paths"])
+        n_rows = sum(values["traj_steps"])
+        digest = text_sha.hexdigest()
+        rows = _bound_rows(path, digest, (n_rows, width))
+        if rows is None:
+            f.seek(rows_start)
+            rows = _parse_rows(f, path, line_no, values["n_paths"])
+    if rows.shape[0] != n_rows:
+        raise ValueError("%s: header key 'traj_steps': trajectory sizes sum "
+                         "to %d, not the %d rows" % (path, n_rows,
+                                                     rows.shape[0]))
+    return Dataset(rows=rows, sha256=digest, **values)
+
+
+def _parse_rows(f, path, first_line_no, n_paths):
+    """The rows of a dataset text from ``f``, positioned at the line with
+    number ``first_line_no``; later comment and blank lines are skipped."""
+    rows, line_nos = [], []
+    for line_no, line in enumerate(f, start=first_line_no):
+        line = line.strip()
+        if not line or line.startswith(b"#"):
+            continue
+        try:
+            rows.append(np.array(line.split(), dtype=np.float64))
+        except ValueError:
+            raise ValueError("%s: line %d: not a row of numbers"
+                             % (path, line_no)) from None
+        line_nos.append(line_no)
     width = feature_dim(n_paths)
     short = [n for row, n in zip(rows, line_nos) if row.size != width]
     if short:
@@ -368,9 +463,36 @@ def read_dataset(path):
     if bad.any():
         raise ValueError("%s: line %d: non-finite value"
                          % (path, line_nos[int(np.argmax(bad))]))
-    traj_steps = tuple(int(v) for v in meta["traj_steps"].split(","))
-    if sum(traj_steps) != mat.shape[0]:
-        raise ValueError("trajectory sizes do not cover the row count")
-    return Dataset(rows=mat, n_paths=n_paths, fc_ghz=float(meta["fc_ghz"]),
-                   delta2d=float(meta["delta2d"]), h_rx=float(meta["h_rx"]),
-                   seed=int(meta["seed"]), traj_steps=traj_steps)
+    return mat
+
+
+def _bound_rows(path, text_sha256, shape):
+    """The twin's rows, or None unless all of these hold: the gen manifest
+    beside ``path`` records ``text_sha256`` as the text's digest; the twin's
+    bytes hash to the manifest's ``rows_sha256``; and those bytes load as a
+    finite float64 matrix of ``shape``. Any other pair is stale or edited,
+    so a missing, unreadable or mismatched file just means None."""
+    try:
+        with open(path + MANIFEST_SUFFIX, "rb") as f:
+            manifest = json.load(f)
+    except (OSError, ValueError):
+        return None
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if (not isinstance(outputs, dict) or "rows_sha256" not in outputs
+            or outputs.get("sha256") != text_sha256):
+        return None
+    try:
+        with open(path + TWIN_SUFFIX, "rb") as f:
+            blob = f.read()
+    except OSError:
+        return None
+    if hashlib.sha256(blob).hexdigest() != outputs["rows_sha256"]:
+        return None
+    try:
+        rows = np.load(io.BytesIO(blob), allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.shape == shape and np.isfinite(rows).all()):
+        return rows
+    return None

@@ -8,6 +8,7 @@ points only and are not reproduced here.
 """
 
 import cmath
+import json
 import math
 import time
 
@@ -341,6 +342,10 @@ def test_criterion_9_determinism(tmp_path):
     assert cli.main(gen_args + ["--out", a]) == 0
     assert cli.main(gen_args + ["--out", b]) == 0
     ds_same = open(a, "rb").read() == open(b, "rb").read()
+    twin_same = open(a + ".npy", "rb").read() == open(b + ".npy", "rb").read()
+    rows_sha256 = [json.load(open(p + ".manifest.json"))["outputs"]
+                   ["rows_sha256"] for p in (a, b)]
+    twin_same = twin_same and rows_sha256[0] == rows_sha256[1]
 
     train_args = ["train", "--dataset", a, "--seed", "12", "--mode", "gen",
                   "--set", "epochs=2", "--set", "batch_size=16",
@@ -355,6 +360,7 @@ def test_criterion_9_determinism(tmp_path):
     assert cli.main(train_args + ["--out", c2]) == 0
     trace_same = open(c1 + ".trace.txt", "rb").read() == \
         open(c2 + ".trace.txt", "rb").read()
-    _report("criterion 9 determinism", ds_same and trace_same,
-            "dataset bytes identical: %s; loss trace bytes identical: %s"
-            % (ds_same, trace_same))
+    _report("criterion 9 determinism", ds_same and twin_same and trace_same,
+            "dataset bytes identical: %s; twin bytes and digests identical: "
+            "%s; loss trace bytes identical: %s"
+            % (ds_same, twin_same, trace_same))

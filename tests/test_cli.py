@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -54,8 +56,13 @@ def test_gen_writes_dataset_and_manifest(tmp_path, dataset_path):
     assert ds.rows.shape == (100, gscm.feature_dim(2))
     manifest = json.load(open(dataset_path + ".manifest.json"))
     assert manifest["command"] == "gen"
-    assert manifest["outputs"]["sha256"]
+    outputs = manifest["outputs"]
+    assert outputs["sha256"] == ds.sha256 == _sha256(dataset_path)
+    assert outputs["rows"] == dataset_path + ".npy"
+    assert outputs["rows_sha256"] == _sha256(dataset_path + ".npy")
     assert manifest["config"]["seed"] == 3
+    os.remove(dataset_path + ".npy")  # the text path gives the same digest
+    assert gscm.read_dataset(dataset_path).sha256 == ds.sha256
 
 
 def test_gen_single_step(tmp_path):
@@ -70,6 +77,10 @@ def test_gen_deterministic_bytes(tmp_path):
     assert cli.main(gen_args(a)) == 0
     assert cli.main(gen_args(b)) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    assert open(a + ".npy", "rb").read() == open(b + ".npy", "rb").read()
+    rows_sha256 = [json.load(open(p + ".manifest.json"))["outputs"]
+                   ["rows_sha256"] for p in (a, b)]
+    assert rows_sha256[0] == rows_sha256[1]
 
 
 def test_gen_delta2d_presets(tmp_path):
@@ -91,6 +102,8 @@ def test_train_writes_trace_and_checkpoint(tmp_path, dataset_path,
     params, scaler, _, meta = trainer.load_train_checkpoint(checkpoint_path)
     assert meta["settings"]["mode"] == "gen"
     assert scaler.n_paths == 2
+    manifest = json.load(open(checkpoint_path + ".manifest.json"))
+    assert manifest["inputs"]["sha256"] == _sha256(dataset_path)
 
 
 def test_train_trace_deterministic(tmp_path, dataset_path):
@@ -128,6 +141,9 @@ def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path):
     assert os.path.exists(os.path.join(out_dir, "cells.csv"))
     table = open(os.path.join(out_dir, "table.txt")).read()
     assert "delay_spread" in table
+    manifest = json.load(open(os.path.join(out_dir, "report.json")
+                              + ".manifest.json"))
+    assert manifest["inputs"]["dataset_sha256"] == _sha256(dataset_path)
 
 
 def test_evaluate_rejects_mismatched_window(tmp_path, dataset_path,
@@ -213,6 +229,11 @@ def test_exit_codes(tmp_path):
     assert cli.main(["gen"]) == 1
 
 
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def _corrupt(src, dst, how):
     """Copy a dataset file with one defect; returns what stderr must name."""
     lines = open(src).read().splitlines()
@@ -226,6 +247,15 @@ def _corrupt(src, dst, how):
     elif how == "short":
         lines[row] = " ".join(vals[:-1])
         want = "line %d" % (row + 1)
+    elif how == "not_int":
+        lines[1] = lines[1].replace(" seed=3", " seed=3.5")
+        want = "bad.txt: header key 'seed'"
+    elif how == "no_paths":
+        lines[1] = lines[1].replace(" n_paths=2", " n_paths=0")
+        want = "bad.txt: header key 'n_paths'"
+    elif how == "traj_sum":  # the header claims one row too few
+        lines[2] = lines[2].replace("traj_steps=50,50", "traj_steps=50,49")
+        want = "bad.txt: header key 'traj_steps'"
     else:  # a deleted header key
         lines[1] = lines[1].replace(" delta2d=", " delta2d_=")
         want = "'delta2d'"
@@ -234,17 +264,24 @@ def _corrupt(src, dst, how):
     return want
 
 
-@pytest.mark.parametrize("how", ["nan", "inf", "word", "short", "no_key"])
+@pytest.mark.parametrize("how", ["nan", "inf", "word", "short", "no_key",
+                                 "not_int", "no_paths", "traj_sum"])
 def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
                                    capsys, how):
     bad = str(tmp_path / "bad.txt")
     want = _corrupt(dataset_path, bad, how)
-    capsys.readouterr()
-    assert cli.main(train_args(bad, str(tmp_path / "bad.bin"))) == 2
-    assert want in capsys.readouterr().err
-    assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
-                     "--dataset", bad, "--out", str(tmp_path / "ev")]) == 2
-    assert want in capsys.readouterr().err
+    # the second time, the original's twin and gen manifest sit beside the
+    # corrupted text: a stale pair, which must not be used
+    for stale_pair in (False, True):
+        if stale_pair:
+            for suffix in (".npy", ".manifest.json"):
+                shutil.copy(dataset_path + suffix, bad + suffix)
+        capsys.readouterr()
+        assert cli.main(train_args(bad, str(tmp_path / "bad.bin"))) == 2
+        assert want in capsys.readouterr().err
+        assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
+                         "--dataset", bad, "--out", str(tmp_path / "ev")]) == 2
+        assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,change", [

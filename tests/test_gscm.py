@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ddgen import gscm
+from ddgen import cli, gscm
 
 
 def test_place_scatterers_within_bounds():
@@ -337,3 +339,138 @@ def test_dataset_row_units(small_dataset):
 
 def test_traj_ranges(small_dataset):
     assert small_dataset.traj_ranges() == [(0, 120), (120, 240)]
+
+
+# ---------------------------------------------------------------------------
+# the binary twin written by ``ddgen gen``
+
+def _gen(tmp_path, n_paths, steps, seed, fc_ghz, delta2d, trajectories,
+         hold_range=None, max_d2d=None):
+    """``ddgen gen`` of a synthesize_dataset configuration; returns the
+    dataset's path."""
+    path = str(tmp_path / "ds.txt")
+    argv = ["gen", "--out", path, "--seed", str(seed), "--steps", str(steps),
+            "--delta2d", str(delta2d), "--trajectories", str(trajectories),
+            "--set", "n_scatterers=%d" % n_paths,
+            "--set", "fc_ghz=%r" % fc_ghz]
+    if hold_range is not None:
+        argv += ["--set", "hold_min=%d" % hold_range[0],
+                 "--set", "hold_max=%d" % hold_range[1]]
+    if max_d2d is not None:
+        argv += ["--set", "max_d2d=%r" % max_d2d]
+    assert cli.main(argv) == 0
+    return path
+
+
+def _read_text(path, monkeypatch):
+    """The rows as the text parse gives them, the twin aside."""
+    with monkeypatch.context() as m:
+        m.setattr(gscm, "_bound_rows", lambda *args: None)
+        return gscm.read_dataset(path).rows
+
+
+def _read_counting_parses(path, monkeypatch):
+    """read_dataset, and how many times it parsed the text's rows."""
+    calls = []
+    parse = gscm._parse_rows
+
+    def counting_parse(*args):
+        calls.append(args)
+        return parse(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(gscm, "_parse_rows", counting_parse)
+        return gscm.read_dataset(path), len(calls)
+
+
+def _rebind_twin(path, rows):
+    """Replace the twin by ``rows`` and bind it in the gen manifest."""
+    np.save(path + ".npy", rows)
+    with open(path + ".manifest.json") as f:
+        manifest = json.load(f)
+    manifest["outputs"]["rows_sha256"] = hashlib.sha256(
+        open(path + ".npy", "rb").read()).hexdigest()
+    with open(path + ".manifest.json", "w") as f:
+        json.dump(manifest, f)
+
+
+@pytest.mark.parametrize("kwargs,digest", GOLDEN_DATASETS)
+def test_dataset_twin_rows_match_text_parse(tmp_path, monkeypatch, kwargs,
+                                            digest):
+    path = _gen(tmp_path, **kwargs)
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+    ds, parses = _read_counting_parses(path, monkeypatch)
+    assert parses == 0  # the rows came from the twin
+    text_rows = _read_text(path, monkeypatch)
+    assert ds.rows.shape == text_rows.shape
+    _assert_bitwise_equal(ds.rows, text_rows)
+    assert ds.sha256 == digest
+
+
+def test_dataset_twin_edited_text_wins(tmp_path, monkeypatch):
+    path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
+    before = gscm.read_dataset(path).rows
+    lines = open(path).read().split("\n")
+    row = 4 + 17  # 0-based line index of the file's 18th row
+    tokens = lines[row].split(" ")
+    digit = next(i for i, c in enumerate(tokens[0]) if c.isdigit())
+    old = tokens[0][digit]
+    tokens[0] = tokens[0][:digit] + str((int(old) + 1) % 10) \
+        + tokens[0][digit + 1:]
+    lines[row] = " ".join(tokens)
+    with open(path, "r+") as f:  # the same length, rewritten in place
+        f.write("\n".join(lines))
+    got = gscm.read_dataset(path).rows
+    assert got[17, 0] == float(tokens[0]) != before[17, 0]
+    before[17, 0] = got[17, 0]
+    _assert_bitwise_equal(got, before)
+
+
+@pytest.mark.parametrize("how", ["missing", "truncated", "flipped"])
+def test_dataset_twin_damaged_is_ignored(tmp_path, monkeypatch, how):
+    path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
+    want = gscm.read_dataset(path).rows
+    blob = bytearray(open(path + ".npy", "rb").read())
+    if how == "missing":
+        os.remove(path + ".npy")
+    else:
+        if how == "truncated":
+            del blob[-8:]
+        else:  # the lowest bit of the first value: still finite
+            blob[len(blob) - want.nbytes] ^= 1
+        with open(path + ".npy", "wb") as f:
+            f.write(blob)
+    ds, parses = _read_counting_parses(path, monkeypatch)
+    assert parses == 1
+    _assert_bitwise_equal(ds.rows, want)
+
+
+def test_dataset_twin_unused_without_rows_digest(tmp_path, monkeypatch):
+    path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
+    want = gscm.read_dataset(path).rows
+    with open(path + ".manifest.json") as f:
+        manifest = json.load(f)
+    # the manifest as gen wrote it before the twin existed
+    manifest["outputs"] = {"dataset": path,
+                           "sha256": manifest["outputs"]["sha256"]}
+    with open(path + ".manifest.json", "w") as f:
+        json.dump(manifest, f)
+    ds, parses = _read_counting_parses(path, monkeypatch)
+    assert parses == 1
+    _assert_bitwise_equal(ds.rows, want)
+
+
+@pytest.mark.parametrize("how", ["width", "rows", "nan", "float32"])
+def test_dataset_twin_bound_but_invalid_is_never_returned(tmp_path,
+                                                          monkeypatch, how):
+    path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
+    want = gscm.read_dataset(path).rows
+    bad = {"width": want[:, :-1], "rows": want[:-1],
+           "float32": want.astype(np.float32)}.get(how, want.copy())
+    if how == "nan":
+        bad[5, 9] = np.nan
+    _rebind_twin(path, bad)
+    ds, parses = _read_counting_parses(path, monkeypatch)
+    assert parses == 1
+    assert ds.rows.dtype == np.float64 and ds.rows.shape == want.shape
+    _assert_bitwise_equal(ds.rows, want)
