@@ -1,7 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Values are float64 numpy arrays. Every operation builds a node that records
-its parents and a closure computing parent gradients from the node gradient;
+Values are float64 numpy arrays. ``tensor`` makes a differentiable leaf (a
+parameter, or any input whose gradient is wanted); ``const`` makes a
+value-only leaf. An op whose inputs include a differentiable tensor builds
+a node that records those inputs and a closure computing their gradients
+from the node gradient; an op whose inputs are all constants returns a
+constant and records nothing. Backward closures compute no gradient for a
+constant operand, so a constant's ``.grad`` stays ``None``.
 ``Tensor.backward`` walks the recorded graph once in reverse topological
 order. Gradients accumulate additively across repeated backward calls until
 ``zero_grad`` is invoked.
@@ -32,11 +37,13 @@ _LOG10_DIV10 = np.log(10.0) / 10.0
 class Tensor:
     """A value node in the autodiff graph: data plus gradient accumulator."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=(), backward=None, requires_grad=False):
         self.data = data
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
 
@@ -93,19 +100,30 @@ def _accum(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _node(data, inputs, backward):
+    """An op's result: a recorded node when some input is differentiable,
+    else a constant that keeps neither its inputs nor ``backward``."""
+    live = tuple(t for t in inputs if t.requires_grad)
+    if not live:
+        return Tensor(data)
+    return Tensor(data, live, backward, requires_grad=True)
+
+
 def zero_grad(tensors):
     for t in tensors:
         t.grad = None
 
 
 def tensor(data):
-    """Wrap data as a leaf node (parameter or constant)."""
-    return Tensor(np.array(data, dtype=np.float64))
+    """Wrap a copy of data as a differentiable leaf: backward fills its
+    ``.grad``."""
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def const(data):
-    arr = np.asarray(data, dtype=np.float64)
-    return Tensor(arr)
+    """Wrap data as a constant: it gets no gradient, and ops whose inputs
+    are all constants record nothing."""
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 def _unbroadcast(grad, shape):
@@ -134,61 +152,58 @@ def _check_broadcast(a, b, op):
 
 def add(a, b):
     _check_broadcast(a.data, b.data, "add")
-    out = Tensor(a.data + b.data, (a, b))
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+    return _node(a.data + b.data, (a, b), back)
 
 
 def sub(a, b):
     _check_broadcast(a.data, b.data, "sub")
-    out = Tensor(a.data - b.data, (a, b))
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
+    return _node(a.data - b.data, (a, b), back)
 
 
 def mul(a, b):
     _check_broadcast(a.data, b.data, "mul")
-    out = Tensor(a.data * b.data, (a, b))
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    return _node(a.data * b.data, (a, b), back)
 
 
 def div(a, b):
     _check_broadcast(a.data, b.data, "div")
-    out = Tensor(a.data / b.data, (a, b))
 
     def back(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data),
+                                   b.data.shape))
+    return _node(a.data / b.data, (a, b), back)
 
 
 def scale(a, c):
     """Multiply by a python scalar."""
     c = float(c)
-    out = Tensor(a.data * c, (a,))
-    out._backward = lambda g: _accum(a, g * c)
-    return out
+    return _node(a.data * c, (a,), lambda g: _accum(a, g * c))
 
 
 def shift(a, c):
     """Add a python scalar."""
-    out = Tensor(a.data + float(c), (a,))
-    out._backward = lambda g: _accum(a, g)
-    return out
+    return _node(a.data + float(c), (a,), lambda g: _accum(a, g))
 
 
 # ---------------------------------------------------------------------------
@@ -202,43 +217,71 @@ def matmul(a, b):
         lead = a.data.shape[:-1]
         n, k = b.data.shape
         a2 = a.data.reshape(-1, n)
-        out = Tensor((a2 @ b.data).reshape(lead + (k,)), (a, b))
 
         def back(g):
             g2 = g.reshape(-1, k)
-            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accum(b, a2.T @ g2)
-        out._backward = back
-        return out
-    out = Tensor(np.matmul(a.data, b.data), (a, b))
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
+        return _node((a2 @ b.data).reshape(lead + (k,)), (a, b), back)
 
     def back(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                   a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                   b.data.shape))
+    return _node(np.matmul(a.data, b.data), (a, b), back)
+
+
+def affine(x, w, b):
+    """``x @ w + b`` as one node, for a (..., n) input and an (n, k) weight.
+
+    The leading axes of ``x`` are flattened into one GEMM and the bias
+    broadcasts as in ``add``; values and gradients are bit-identical to
+    ``add(matmul(x, w), b)``.
+    """
+    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError("affine: inner dims %s @ %s"
+                         % (x.data.shape, w.data.shape))
+    n, k = w.data.shape
+    x2 = x.data.reshape(-1, n)
+    y = (x2 @ w.data).reshape(x.data.shape[:-1] + (k,))
+    _check_broadcast(y, b.data, "affine")
+    y += b.data
+
+    def back(g):
+        g2 = g.reshape(-1, k)
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, x2.T @ g2)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+    return _node(y, (x, w, b), back)
 
 
 def transpose_last(a):
-    out = Tensor(np.swapaxes(a.data, -1, -2), (a,))
-    out._backward = lambda g: _accum(a, np.swapaxes(g, -1, -2))
-    return out
+    return _node(np.swapaxes(a.data, -1, -2), (a,),
+                 lambda g: _accum(a, np.swapaxes(g, -1, -2)))
 
 
 def concat(parts, axis=-1):
     if not parts:
         raise ValueError("concat: empty input list")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(p, g[tuple(idx)])
-    out._backward = back
-    return out
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accum(p, g[tuple(idx)])
+    return _node(np.concatenate([p.data for p in parts], axis=axis),
+                 parts, back)
 
 
 def narrow(a, axis, start, length):
@@ -249,14 +292,12 @@ def narrow(a, axis, start, length):
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor(a.data[idx], (a,))
 
     def back(g):
         buf = np.zeros_like(a.data)
         buf[idx] = g
         _accum(a, buf)
-    out._backward = back
-    return out
+    return _node(a.data[idx], (a,), back)
 
 
 def split(a, axis, sizes):
@@ -269,34 +310,30 @@ def split(a, axis, sizes):
     if min(sizes, default=0) < 1 or sum(sizes) != a.data.shape[axis]:
         raise ValueError("split: sizes %s do not cover axis %d of %s"
                          % (list(sizes), axis, a.data.shape))
-    collector = Tensor(a.data, (a,))
     held = [None]  # the gradient buffer, shared by the parts until handed on
 
     def collect(_):
         buf, held[0] = held[0], None
         _accum(a, buf)
-    collector._backward = collect
+    collector = _node(a.data, (a,), collect)
 
     parts = []
     lo = 0
     for n in sizes:
         idx = (slice(None),) * axis + (slice(lo, lo + n),)
         lo += n
-        part = Tensor(a.data[idx], (collector,))
 
         def back(g, idx=idx):
             if held[0] is None:
                 held[0] = np.zeros_like(a.data)
             held[0][idx] = g
-        part._backward = back
-        parts.append(part)
+        parts.append(_node(a.data[idx], (collector,), back))
     return parts
 
 
 def gather_last(a, cols):
     """Select (possibly repeated) columns along the last axis."""
     cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor(a.data[..., cols], (a,))
     repeated = np.unique(cols % a.data.shape[-1]).size < cols.size
 
     def back(g):
@@ -306,8 +343,7 @@ def gather_last(a, cols):
         else:
             buf[..., cols] = g
         _accum(a, buf)
-    out._backward = back
-    return out
+    return _node(a.data[..., cols], (a,), back)
 
 
 def repeat(a, times, axis):
@@ -316,48 +352,40 @@ def repeat(a, times, axis):
         raise ValueError("repeat: axis %d of %s must have size 1" % (axis, a.data.shape))
     reps = [1] * a.data.ndim
     reps[axis] = times
-    out = Tensor(np.tile(a.data, reps), (a,))
-    out._backward = lambda g: _accum(a, g.sum(axis=axis, keepdims=True))
-    return out
+    return _node(np.tile(a.data, reps), (a,),
+                 lambda g: _accum(a, g.sum(axis=axis, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
 def sum_all(a):
-    out = Tensor(np.asarray(a.data.sum()), (a,))
-    out._backward = lambda g: _accum(a, np.broadcast_to(g, a.data.shape).copy())
-    return out
+    return _node(np.asarray(a.data.sum()), (a,), lambda g: _accum(
+        a, np.broadcast_to(g, a.data.shape).copy()))
 
 
 def mean_all(a):
     n = a.data.size
-    out = Tensor(np.asarray(a.data.mean()), (a,))
-    out._backward = lambda g: _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-    return out
+    return _node(np.asarray(a.data.mean()), (a,), lambda g: _accum(
+        a, np.broadcast_to(g / n, a.data.shape).copy()))
 
 
 def sum_axis(a, axis, keepdims=True):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
-    out._backward = back
-    return out
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
 
 def mean_axis(a, axis, keepdims=True):
     n = a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,))
 
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-    out._backward = back
-    return out
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -365,63 +393,45 @@ def mean_axis(a, axis, keepdims=True):
 
 def exp(a):
     y = np.exp(a.data)
-    out = Tensor(y, (a,))
-    out._backward = lambda g: _accum(a, g * y)
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * y))
 
 
 def sqrt(a):
     y = np.sqrt(a.data)
-    out = Tensor(y, (a,))
-    out._backward = lambda g: _accum(a, g * 0.5 / y)
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * 0.5 / y))
 
 
 def square(a):
-    out = Tensor(a.data * a.data, (a,))
-    out._backward = lambda g: _accum(a, g * 2.0 * a.data)
-    return out
+    return _node(a.data * a.data, (a,), lambda g: _accum(a, g * 2.0 * a.data))
 
 
 def sin(a):
-    out = Tensor(np.sin(a.data), (a,))
-    out._backward = lambda g: _accum(a, g * np.cos(a.data))
-    return out
+    return _node(np.sin(a.data), (a,), lambda g: _accum(a, g * np.cos(a.data)))
 
 
 def cos(a):
-    out = Tensor(np.cos(a.data), (a,))
-    out._backward = lambda g: _accum(a, -g * np.sin(a.data))
-    return out
+    return _node(np.cos(a.data), (a,), lambda g: _accum(a, -g * np.sin(a.data)))
 
 
 def tanh(a):
     y = np.tanh(a.data)
-    out = Tensor(y, (a,))
-    out._backward = lambda g: _accum(a, g * (1.0 - y * y))
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, (a,))
-    out._backward = lambda g: _accum(a, g * y * (1.0 - y))
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
 
 def relu(a):
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), (a,))
-    out._backward = lambda g: _accum(a, g * mask)
-    return out
+    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: _accum(a, g * mask))
 
 
 def db_to_linear(a):
     """10^(x/10), the dB-to-linear power map."""
     y = np.exp(a.data * _LOG10_DIV10)
-    out = Tensor(y, (a,))
-    out._backward = lambda g: _accum(a, g * y * _LOG10_DIV10)
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * y * _LOG10_DIV10))
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +442,11 @@ def softmax(a):
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, (a,))
 
     def back(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(a, y * (g - dot))
-    out._backward = back
-    return out
+    return _node(y, (a,), back)
 
 
 def layer_norm(a, gamma, beta, eps=1e-5):
@@ -447,17 +455,18 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data, (a, gamma, beta))
 
     def back(g):
-        gg = g * gamma.data
-        _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-        _accum(beta, _unbroadcast(g, beta.data.shape))
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, (gg - m1 - xhat * m2) * inv)
-    out._backward = back
-    return out
+        if gamma.requires_grad:
+            _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        if beta.requires_grad:
+            _accum(beta, _unbroadcast(g, beta.data.shape))
+        if a.requires_grad:
+            gg = g * gamma.data
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            _accum(a, (gg - m1 - xhat * m2) * inv)
+    return _node(xhat * gamma.data + beta.data, (a, gamma, beta), back)
 
 
 def smooth_l1(a, b, beta):
@@ -468,49 +477,93 @@ def smooth_l1(a, b, beta):
     d = a.data - b.data
     absd = np.abs(d)
     quad = absd < beta
-    out = Tensor(np.where(quad, 0.5 * d * d / beta, absd - 0.5 * beta), (a, b))
 
     def back(g):
         dd = np.where(quad, d / beta, np.sign(d))
-        _accum(a, _unbroadcast(g * dd, a.data.shape))
-        _accum(b, _unbroadcast(-g * dd, b.data.shape))
-    out._backward = back
-    return out
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * dd, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * dd, b.data.shape))
+    return _node(np.where(quad, 0.5 * d * d / beta, absd - 0.5 * beta),
+                 (a, b), back)
 
 
-def lstm_cell(gates, c_prev):
-    """Fused LSTM cell update; returns the new (h, c) as two tensors.
+def lstm_bidir(x_fw, x_bw, wh_fw, wh_bw):
+    """Both directions of one bidirectional LSTM layer as one node.
 
-    ``gates`` holds the input, forget, cell and output pre-activations side
-    by side on its last axis (4 x hidden). One node applies the four gate
-    nonlinearities and the state update, with the same arithmetic as the
-    sigmoid/tanh/mul/add composition, and a hand-written backward.
+    ``x_fw``/``x_bw`` are each direction's input contribution x @ wx + b,
+    shaped (b, T, 4H): the input, forget, cell and output gate
+    pre-activations side by side. ``wh_fw``/``wh_bw`` are the (H, 4H)
+    recurrent weights. Step s of the recurrence advances the forward
+    direction at time s and the backward direction at time T-1-s together,
+    stacked as (2, b, 4H), from zero states and with the arithmetic of the
+    per-step matmul/add/sigmoid/tanh/mul composition. Returns the (b, T, 2H)
+    outputs, forward half first. The backward is BPTT written out; each
+    direction's ``wh`` gradient is one GEMM over all steps.
     """
-    hid = c_prev.data.shape[-1]
-    z = gates.data
-    if z.shape[-1] != 4 * hid:
-        raise ValueError("lstm_cell: gates %s do not hold 4 x hidden %d"
-                         % (z.shape, hid))
-    i = 1.0 / (1.0 + np.exp(-z[..., :hid]))
-    f = 1.0 / (1.0 + np.exp(-z[..., hid:2 * hid]))
-    gg = np.tanh(z[..., 2 * hid:3 * hid])
-    o = 1.0 / (1.0 + np.exp(-z[..., 3 * hid:]))
-    c = f * c_prev.data + i * gg
-    tc = np.tanh(c)
-    state = Tensor(np.concatenate([o * tc, c], axis=-1), (gates, c_prev))
+    b, t_len, width = x_fw.data.shape
+    hid = wh_fw.data.shape[0]
+    if (x_bw.data.shape != x_fw.data.shape or width != 4 * hid
+            or wh_fw.data.shape != (hid, width)
+            or wh_bw.data.shape != wh_fw.data.shape):
+        raise ValueError("lstm_bidir: inputs %s, %s and recurrent weights "
+                         "%s, %s are not (b, T, 4H) and (H, 4H)"
+                         % (x_fw.data.shape, x_bw.data.shape,
+                            wh_fw.data.shape, wh_bw.data.shape))
+    # (direction, step, b, .) layout: the backward direction reads time reversed
+    zx = np.stack([x_fw.data.transpose(1, 0, 2),
+                   x_bw.data[:, ::-1].transpose(1, 0, 2)])
+    wh = np.stack([wh_fw.data, wh_bw.data])
+    acts = np.empty_like(zx)                 # gate activations i, f, g, o
+    hs = np.zeros((2, t_len + 1, b, hid))    # hs[:, s]: state entering step s
+    cs = np.zeros((2, t_len + 1, b, hid))
+    tcs = np.empty((2, t_len, b, hid))       # tanh of the new cell state
+    for s in range(t_len):
+        z = zx[:, s] + np.matmul(hs[:, s], wh)
+        a = acts[:, s]
+        np.divide(1.0, 1.0 + np.exp(-z), out=a)
+        a[..., 2 * hid:3 * hid] = np.tanh(z[..., 2 * hid:3 * hid])
+        i, f, gg, o = (a[..., k * hid:(k + 1) * hid] for k in range(4))
+        c = f * cs[:, s] + i * gg
+        cs[:, s + 1] = c
+        tcs[:, s] = np.tanh(c)
+        hs[:, s + 1] = o * tcs[:, s]
+    out = np.concatenate([hs[0, 1:].transpose(1, 0, 2),
+                          hs[1, :0:-1].transpose(1, 0, 2)], axis=-1)
 
     def back(g):
-        dh = g[..., :hid]
-        dc = g[..., hid:] + dh * o * (1.0 - tc * tc)
-        dz = np.empty_like(z)
-        dz[..., :hid] = dc * gg * i * (1.0 - i)
-        dz[..., hid:2 * hid] = dc * c_prev.data * f * (1.0 - f)
-        dz[..., 2 * hid:3 * hid] = dc * i * (1.0 - gg * gg)
-        dz[..., 3 * hid:] = dh * tc * o * (1.0 - o)
-        _accum(gates, dz)
-        _accum(c_prev, dc * f)
-    state._backward = back
-    return split(state, -1, (hid, hid))
+        gh = np.stack([g[..., :hid].transpose(1, 0, 2),
+                       g[:, ::-1, hid:].transpose(1, 0, 2)])
+        wh_t = wh.transpose(0, 2, 1)
+        dz = np.empty((2, t_len, b, width))
+        dh_next = np.zeros((2, b, hid))
+        dc_next = np.zeros((2, b, hid))
+        for s in range(t_len - 1, -1, -1):
+            i, f, gg, o = (acts[:, s, :, k * hid:(k + 1) * hid]
+                           for k in range(4))
+            tc = tcs[:, s]
+            dh = gh[:, s] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            d = dz[:, s]
+            d[..., :hid] = dc * gg * i * (1.0 - i)
+            d[..., hid:2 * hid] = dc * cs[:, s] * f * (1.0 - f)
+            d[..., 2 * hid:3 * hid] = dc * i * (1.0 - gg * gg)
+            d[..., 3 * hid:] = dh * tc * o * (1.0 - o)
+            dc_next = dc * f
+            if s:
+                dh_next = np.matmul(d, wh_t)
+        if x_fw.requires_grad:
+            _accum(x_fw, np.ascontiguousarray(dz[0].transpose(1, 0, 2)))
+        if x_bw.requires_grad:
+            _accum(x_bw, np.ascontiguousarray(dz[1, ::-1].transpose(1, 0, 2)))
+        if wh_fw.requires_grad or wh_bw.requires_grad:
+            # every step's h_prev^T @ dz of a direction in one GEMM
+            gw = np.matmul(hs[:, :t_len].reshape(2, -1, hid).transpose(0, 2, 1),
+                           dz.reshape(2, -1, width))
+            for w, gw_d in ((wh_fw, gw[0]), (wh_bw, gw[1])):
+                if w.requires_grad:
+                    _accum(w, gw_d)
+    return _node(out, (x_fw, x_bw, wh_fw, wh_bw), back)
 
 
 # ---------------------------------------------------------------------------

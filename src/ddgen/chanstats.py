@@ -7,10 +7,11 @@ weighted mean phasor, which is dimensionless and bounded by [0, 1] and
 immune to the 2*pi wrap-around of a naive angular standard deviation.
 ``rms_*`` are the scalar reference; ``row_stats`` applies the same formulas
 to a whole matrix of dataset rows and serves evaluation and calibration.
-The training loss (``trainer.window_stat_tensors``) uses the same unit
-constants, with one deliberate difference: it takes sqrt(S^2 + eps) to
-bound the 1/S gradient at zero spread, where evaluation takes sqrt(S^2)
-and clamps the angular spread to [0, 1].
+The training loss computes both its sides with
+``trainer.window_stat_tensors``, the true side on a constant that records
+no graph. It uses the same unit constants, with one deliberate difference:
+it takes sqrt(S^2 + eps) to bound the 1/S gradient at zero spread, where
+evaluation takes sqrt(S^2) and clamps the angular spread to [0, 1].
 
 All evaluation compares pooled sample sets through their empirical CDFs on
 a shared grid; the reported distance is the mean squared pointwise CDF

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adtensor import (Tensor, add, concat, const, layer_norm, lstm_cell,
-                       matmul, mean_axis, mul, narrow, relu, repeat, scale,
-                       softmax, split, square, sub, tensor, transpose_last)
+from .adtensor import (Tensor, add, affine, concat, const, layer_norm,
+                       lstm_bidir, matmul, mean_axis, mul, narrow, relu,
+                       repeat, scale, softmax, split, square, sub, tensor,
+                       transpose_last)
 
 NEG_MASK = -1.0e30
 
@@ -274,11 +275,13 @@ def _dropout(t, p, training, rng):
     return mul(t, const(mask))
 
 
+def _linear(x, params, name):
+    return affine(x, params[name + ".w"], params[name + ".b"])
+
+
 def _ffn(x, params, prefix):
-    hidden = relu(add(matmul(x, params[prefix + ".ffn1.w"]),
-                      params[prefix + ".ffn1.b"]))
-    return add(matmul(hidden, params[prefix + ".ffn2.w"]),
-               params[prefix + ".ffn2.b"])
+    return _linear(relu(_linear(x, params, prefix + ".ffn1")), params,
+                   prefix + ".ffn2")
 
 
 def _encoder_layer(x, params, prefix, cfg, training, rng, instr):
@@ -305,32 +308,20 @@ def _decoder_layer(x, memory, params, prefix, cfg, training, rng, instr):
                       params[prefix + ".ln3.g"], params[prefix + ".ln3.b"])
 
 
-def _lstm_pass(x, params, prefix, hidden, reverse=False):
-    """One LSTM direction over (b,T,d_in); returns the (b,T,hidden) outputs."""
-    b, t_len, _ = x.data.shape
-    wx, wh, bias = (params[prefix + s] for s in (".wx", ".wh", ".b"))
-    # input contribution for every step at once
-    steps = split(add(matmul(x, wx), bias), 1, [1] * t_len)
-    h = const(np.zeros((b, 1, hidden)))
-    c = const(np.zeros((b, 1, hidden)))
-    outs = []
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in order:
-        h, c = lstm_cell(add(steps[t], matmul(h, wh)), c)
-        outs.append(h)
-    if reverse:
-        outs.reverse()
-    return concat(outs, axis=1) if len(outs) > 1 else outs[0]
-
-
 def bilstm_forward(x, params, prefix, hidden, layers=1):
-    """Stacked bidirectional LSTM: (b,T,d_in) -> (b,T,2*hidden)."""
+    """Stacked bidirectional LSTM: (b,T,d_in) -> (b,T,2*hidden).
+
+    Each layer is two input projections and one ``lstm_bidir`` node.
+    """
     out = x
     for i in range(layers):
-        fw = _lstm_pass(out, params, "%s.%d.fw" % (prefix, i), hidden)
-        bw = _lstm_pass(out, params, "%s.%d.bw" % (prefix, i), hidden,
-                        reverse=True)
-        out = concat([fw, bw], axis=-1)
+        fw, bw = ("%s.%d.%s" % (prefix, i, d) for d in ("fw", "bw"))
+        if params[fw + ".wh"].data.shape[0] != hidden:
+            raise ValueError("%s.wh does not have %d hidden units"
+                             % (fw, hidden))
+        out = lstm_bidir(affine(out, params[fw + ".wx"], params[fw + ".b"]),
+                         affine(out, params[bw + ".wx"], params[bw + ".b"]),
+                         params[fw + ".wh"], params[bw + ".wh"])
     return out
 
 
@@ -357,19 +348,18 @@ def hybrid_forward(history, cfg, params, training=False, dropout_rng=None,
         raise ValueError("history shape %s does not match lag=%d feature_dim=%d"
                          % (x.data.shape, cfg.lag, cfg.feature_dim))
     enc_in = sdb_encode(x)
-    enc = add(matmul(enc_in, params["enc.proj.w"]), params["enc.proj.b"])
+    enc = _linear(enc_in, params, "enc.proj")
     enc = add(enc, const(positional_encoding(cfg.lag, cfg.d_model)))
     for i in range(cfg.enc_layers):
         enc = _encoder_layer(enc, params, "enc.%d" % i, cfg, training,
                              dropout_rng, instr)
     dec_in = sdb_decode(x, cfg.window)
-    dec = add(matmul(dec_in, params["dec.proj.w"]), params["dec.proj.b"])
+    dec = _linear(dec_in, params, "dec.proj")
     dec = add(dec, const(positional_encoding(cfg.window, cfg.d_model)))
     for i in range(cfg.dec_layers):
         dec = _decoder_layer(dec, enc, params, "dec.%d" % i, cfg, training,
                              dropout_rng, instr)
     lstm = bilstm_forward(dec_in, params, "lstm", cfg.bilstm_hidden,
                           cfg.bilstm_layers)
-    branch = add(matmul(lstm, params["lstm.proj.w"]), params["lstm.proj.b"])
-    agg = add(dec, branch)
-    return add(matmul(agg, params["head.w"]), params["head.b"])
+    agg = add(dec, _linear(lstm, params, "lstm.proj"))
+    return _linear(agg, params, "head")

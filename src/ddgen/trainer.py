@@ -147,11 +147,17 @@ def window_batches(windows, batch_size):
         yield windows[i:i + batch_size]
 
 
+def _window_rows(batch, first, length):
+    """(windows, length) row indices: ``length`` rows from ``first`` rows
+    past each window's start."""
+    starts = np.array([w.start for w in batch], dtype=np.intp)
+    return starts[:, None] + np.arange(first, first + length)
+
+
 def gather_window_arrays(rows_scaled, batch, lag, window):
-    hist = np.stack([rows_scaled[w.start:w.start + lag] for w in batch])
-    targ = np.stack([rows_scaled[w.start + lag:w.start + lag + window]
-                     for w in batch])
-    return hist, targ
+    """The (b, lag, F) histories and (b, window, F) targets of a batch."""
+    return (rows_scaled[_window_rows(batch, 0, lag)],
+            rows_scaled[_window_rows(batch, lag, window)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +278,13 @@ def combine_stat_losses(gen_stats, true_stats, weights, beta):
 def stats_loss(true_scaled, gen_window, scaler, weights, beta):
     """Statistics-aided loss between a true window and a generated tensor.
 
-    True-side statistics are evaluated through the identical computation and
-    detached, so identical windows give exactly zero loss.
+    True-side statistics run through the same ``window_stat_tensors`` on a
+    constant, which records no graph, so identical windows give exactly
+    zero loss.
     """
     gen_stats = window_stat_tensors(gen_window, scaler)
-    true_stats_t = window_stat_tensors(ad.const(np.asarray(true_scaled)), scaler)
-    true_stats = {k: t.data for k, t in true_stats_t.items()}
+    true_stats = {k: t.data for k, t in
+                  window_stat_tensors(ad.const(true_scaled), scaler).items()}
     return combine_stat_losses(gen_stats, true_stats, weights, beta)
 
 
@@ -603,18 +610,17 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
     if not windows:
         raise ValueError("no evaluable windows in the given ranges")
     rows_scaled = scaler.scale(dataset.rows)
-    true_rows = []
+    n_feat = dataset.rows.shape[1]
     gen_rows = []
     for batch in window_batches(windows, batch_size):
         hist, _ = gather_window_arrays(rows_scaled, batch, model_cfg.lag,
                                        model_cfg.window)
         out = hybrid_forward(hist, model_cfg, params, training=False)
-        gen_raw = scaler.unscale(out.data)
-        for bi, w in enumerate(batch):
-            t0 = w.start + model_cfg.lag
-            true_rows.append(dataset.rows[t0:t0 + model_cfg.window])
-            gen_rows.append(gen_raw[bi])
-    true_pool = collect_window_stats(np.vstack(true_rows), dataset.n_paths)
+        gen_rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
+    true_rows = dataset.rows[_window_rows(windows, model_cfg.lag,
+                                          model_cfg.window)]
+    true_pool = collect_window_stats(true_rows.reshape(-1, n_feat),
+                                     dataset.n_paths)
     gen_pool = collect_window_stats(np.vstack(gen_rows), dataset.n_paths)
     return true_pool, gen_pool
 

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from ddgen import adtensor as ad
+from ddgen import htransformer as ht
 
 
 def rnd(shape, seed=0, lo=-2.0, hi=2.0):
@@ -192,34 +195,87 @@ def test_split_rejects_sizes_that_miss_the_axis():
             ad.split(x, 1, sizes)
 
 
-def test_split_and_lstm_cell_gradients():
-    x = ad.tensor(rnd((2, 3, 5), seed=34))
-    err = ad.grad_check(lambda: _weighted_sum(
-        [ad.square(p) for p in ad.split(x, 1, (1, 2))], seed=35), [x])
+def _lstm_inputs(b, t_len, hid, seed):
+    return (ad.tensor(rnd((b, t_len, 4 * hid), seed=seed)),
+            ad.tensor(rnd((b, t_len, 4 * hid), seed=seed + 1)),
+            ad.tensor(rnd((hid, 4 * hid), seed=seed + 2, lo=-1, hi=1)),
+            ad.tensor(rnd((hid, 4 * hid), seed=seed + 3, lo=-1, hi=1)))
+
+
+def _lstm_composition(x_fw, x_bw, wh_fw, wh_bw):
+    """The per-step matmul/add/sigmoid/tanh/mul graph that lstm_bidir fuses."""
+    b, t_len, _ = x_fw.shape
+    hid = wh_fw.shape[0]
+    halves = []
+    for x, wh, order in ((x_fw, wh_fw, range(t_len)),
+                         (x_bw, wh_bw, range(t_len - 1, -1, -1))):
+        h = c = ad.const(np.zeros((b, 1, hid)))
+        outs = {}
+        for t in order:
+            z = ad.add(ad.narrow(x, 1, t, 1), ad.matmul(h, wh))
+            i, f, g, o = (ad.narrow(z, 2, k * hid, hid) for k in range(4))
+            c = ad.add(ad.mul(ad.sigmoid(f), c),
+                       ad.mul(ad.sigmoid(i), ad.tanh(g)))
+            h = ad.mul(ad.sigmoid(o), ad.tanh(c))
+            outs[t] = h
+        halves.append(ad.concat([outs[t] for t in range(t_len)], axis=1))
+    return ad.concat(halves, axis=-1)
+
+
+@pytest.mark.parametrize("t_len", [1, 4])
+def test_lstm_bidir_gradients(t_len):
+    inputs = _lstm_inputs(2, t_len, 3, seed=34)
+    err = ad.grad_check(
+        lambda: _weighted_sum([ad.lstm_bidir(*inputs)], seed=38), inputs)
     assert err < 1e-8
-    gates = ad.tensor(rnd((2, 1, 12), seed=36))
-    c_prev = ad.tensor(rnd((2, 1, 3), seed=37))
-
-    def cell():
-        h, c = ad.lstm_cell(gates, c_prev)
-        return ad.add(_weighted_sum([h], seed=38), _weighted_sum([c], seed=39))
-
-    assert ad.grad_check(cell, [gates, c_prev]) < 1e-8
 
 
-def test_lstm_cell_forward_matches_composition():
-    hid = 4
-    gates = ad.tensor(rnd((3, 1, 4 * hid), seed=40, lo=-4, hi=4))
-    c_prev = ad.tensor(rnd((3, 1, hid), seed=41))
-    h, c = ad.lstm_cell(gates, c_prev)
-    i_g, f_g, g_g, o_g = (ad.narrow(gates, 2, k * hid, hid) for k in range(4))
-    c_ref = ad.add(ad.mul(ad.sigmoid(f_g), c_prev),
-                   ad.mul(ad.sigmoid(i_g), ad.tanh(g_g)))
-    h_ref = ad.mul(ad.sigmoid(o_g), ad.tanh(c_ref))
-    assert np.array_equal(c.data, c_ref.data)
-    assert np.array_equal(h.data, h_ref.data)
-    with pytest.raises(ValueError, match="lstm_cell"):
-        ad.lstm_cell(gates, ad.tensor(rnd((3, 1, hid + 1))))
+def test_lstm_bidir_gradients_through_two_layers():
+    rng = np.random.default_rng(39)
+    params = {}
+    for i, d_in in enumerate((3, 4)):
+        for d in ("fw", "bw"):
+            ht._lstm_params(params, "l.%d.%s" % (i, d), d_in, 2, rng)
+    x = ad.tensor(rnd((2, 3, 3), seed=40))
+    err = ad.grad_check(
+        lambda: _weighted_sum([ht.bilstm_forward(x, params, "l", 2, 2)],
+                              seed=41),
+        [x] + list(params.values()))
+    assert err < 1e-8
+
+
+def test_lstm_bidir_matches_composition():
+    fused_in = _lstm_inputs(3, 5, 4, seed=42)
+    ref_in = [ad.tensor(t.data.copy()) for t in fused_in]
+    fused = ad.lstm_bidir(*fused_in)
+    ref = _lstm_composition(*ref_in)
+    assert np.array_equal(fused.data, ref.data)
+    seed = rnd(fused.shape, seed=46)
+    fused.backward(seed)
+    ref.backward(seed)
+    for got, want in zip(fused_in, ref_in):
+        assert np.abs(got.grad - want.grad).max() < 1e-12
+    with pytest.raises(ValueError, match="lstm_bidir"):
+        ad.lstm_bidir(fused_in[0], fused_in[1], fused_in[2],
+                      ad.tensor(rnd((3, 16))))
+
+
+def test_affine_matches_matmul_add():
+    for x_shape in ((2, 3, 4), (5, 4)):
+        x1 = ad.tensor(rnd(x_shape, seed=47))
+        w1 = ad.tensor(rnd((4, 6), seed=48))
+        b1 = ad.tensor(rnd((1,) * (len(x_shape) - 1) + (6,), seed=49))
+        x2, w2, b2 = (ad.tensor(t.data.copy()) for t in (x1, w1, b1))
+        fused = ad.affine(x1, w1, b1)
+        ref = ad.add(ad.matmul(x2, w2), b2)
+        assert np.array_equal(fused.data, ref.data)
+        seed = rnd(fused.shape, seed=50)
+        fused.backward(seed)
+        ref.backward(seed)
+        for got, want in ((x1, x2), (w1, w2), (b1, b2)):
+            assert np.array_equal(got.grad, want.grad)
+    with pytest.raises(ValueError, match="affine"):
+        ad.affine(x1, ad.tensor(rnd((5, 6))), b1)
 
 
 def test_layer_norm_gradient():
@@ -326,3 +382,115 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         f.write(b"\0")
     with pytest.raises(ValueError, match="trailing bytes"):
         ad.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the constant rule
+
+def test_ops_on_constants_record_nothing():
+    c1, c2 = ad.const(rnd((2, 3), seed=51)), ad.const(rnd((3, 4), seed=52))
+    for out in (ad.add(c1, c1), ad.matmul(c1, c2), ad.sigmoid(c1),
+                *ad.split(c1, 1, (1, 2)),
+                ad.lstm_bidir(*(ad.const(t.data) for t in
+                                _lstm_inputs(1, 2, 2, seed=53)))):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+
+def test_constant_operands_get_no_gradient():
+    x = ad.tensor(rnd((2, 3, 4), seed=54))
+    w = ad.tensor(rnd((4, 5), seed=55))
+    c = ad.const(rnd((2, 3, 4), seed=56))
+    b = ad.const(rnd((1, 1, 5), seed=57))
+    hidden = ad.affine(ad.mul(ad.add(x, c), c), w, b)
+    out = ad.sum_all(ad.concat([hidden, ad.affine(c, w, b)], axis=-1))
+    out.backward()
+    assert c.grad is None and b.grad is None
+    assert x.grad is not None and w.grad is not None
+    # only differentiable inputs are kept as parents
+    assert all(p.requires_grad for p in hidden._parents)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference check of every differentiable op
+
+def _t(shape, seed, lo=-1.5, hi=1.5):
+    return ad.tensor(rnd(shape, seed=seed, lo=lo, hi=hi))
+
+
+def _case(op, *inputs, **kwargs):
+    """A scalar that weights every output entry of ``op(*inputs)``
+    differently, and the tensors to check."""
+    params = [t for t in inputs if isinstance(t, ad.Tensor) and t.requires_grad]
+
+    def fn():
+        out = op(*inputs, **kwargs)
+        return _weighted_sum(out if isinstance(out, list) else [out], seed=60)
+    return fn, params
+
+
+def _smooth_l1_case():
+    a = _t((3, 4), 61)
+    # |a - b| stays away from the kink at beta
+    b = ad.tensor(a.data + np.where(rnd((3, 4), seed=62) > 0, 0.4, 2.5))
+    return _case(ad.smooth_l1, a, b, 1.0)
+
+
+GRAD_CASES = [
+    ("add", lambda: _case(ad.add, _t((2, 3, 4), 1), _t((1, 3, 1), 2))),
+    ("sub", lambda: _case(ad.sub, _t((2, 3, 4), 3), _t((2, 1, 4), 4))),
+    ("mul", lambda: _case(ad.mul, _t((2, 3, 4), 5), _t((1, 3, 4), 6))),
+    ("div", lambda: _case(ad.div, _t((2, 3), 7), _t((2, 1), 8, 0.5, 2.0))),
+    ("scale", lambda: _case(ad.scale, _t((2, 3), 9), -1.7)),
+    ("shift", lambda: _case(ad.shift, _t((2, 3), 10), 0.3)),
+    ("matmul", lambda: _case(ad.matmul, _t((2, 3, 4), 11), _t((4, 5), 12))),
+    ("matmul", lambda: _case(ad.matmul, _t((2, 3, 4), 13), _t((2, 4, 2), 14))),
+    ("affine", lambda: _case(ad.affine, _t((2, 3, 4), 15), _t((4, 5), 16),
+                             _t((1, 1, 5), 17))),
+    ("transpose_last", lambda: _case(ad.transpose_last, _t((2, 3, 4), 18))),
+    ("concat", lambda: _case(lambda a, b: ad.concat([a, b], axis=1),
+                             _t((2, 3, 2), 19), _t((2, 1, 2), 20))),
+    ("narrow", lambda: _case(ad.narrow, _t((2, 5, 3), 21), 1, 1, 3)),
+    ("split", lambda: _case(ad.split, _t((2, 3, 5), 22), 1, (1, 2))),
+    ("gather_last", lambda: _case(ad.gather_last, _t((2, 5), 23),
+                                  [4, 0, 4, 2])),
+    ("repeat", lambda: _case(ad.repeat, _t((2, 1, 3), 24), 4, 1)),
+    ("sum_all", lambda: _case(lambda a: ad.square(ad.sum_all(a)),
+                              _t((2, 3), 25))),
+    ("mean_all", lambda: _case(lambda a: ad.square(ad.mean_all(a)),
+                               _t((2, 3), 26))),
+    ("sum_axis", lambda: _case(ad.sum_axis, _t((2, 3, 4), 27), 1, False)),
+    ("mean_axis", lambda: _case(ad.mean_axis, _t((2, 3, 4), 28), -1)),
+    ("exp", lambda: _case(ad.exp, _t((3, 4), 29))),
+    ("sqrt", lambda: _case(ad.sqrt, _t((3, 4), 30, 0.5, 3.0))),
+    ("square", lambda: _case(ad.square, _t((3, 4), 31))),
+    ("sin", lambda: _case(ad.sin, _t((3, 4), 32))),
+    ("cos", lambda: _case(ad.cos, _t((3, 4), 33))),
+    ("tanh", lambda: _case(ad.tanh, _t((3, 4), 34))),
+    ("sigmoid", lambda: _case(ad.sigmoid, _t((3, 4), 35))),
+    ("relu", lambda: _case(ad.relu, _t((3, 4), 36))),
+    ("db_to_linear", lambda: _case(ad.db_to_linear, _t((3, 4), 37, -3, 3))),
+    ("softmax", lambda: _case(ad.softmax, _t((2, 3, 5), 38))),
+    ("layer_norm", lambda: _case(ad.layer_norm, _t((2, 3, 6), 39),
+                                 _t((1, 1, 6), 40), _t((1, 1, 6), 41))),
+    ("smooth_l1", _smooth_l1_case),
+    ("lstm_bidir", lambda: _case(ad.lstm_bidir, *_lstm_inputs(2, 3, 2, 42))),
+]
+# public functions of adtensor that are not differentiable ops
+NOT_OPS = {"tensor", "const", "zero_grad", "grad_check", "save_checkpoint",
+           "load_checkpoint"}
+
+
+@pytest.mark.parametrize("op,make", GRAD_CASES,
+                         ids=["%s-%d" % (op, k)
+                              for k, (op, _) in enumerate(GRAD_CASES)])
+def test_op_gradients(op, make):
+    fn, params = make()
+    assert ad.grad_check(fn, params) < 1e-7
+
+
+def test_grad_cases_cover_every_differentiable_op():
+    public = {name for name, fn in vars(ad).items()
+              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+              and not name.startswith("_")}
+    assert public - NOT_OPS == {op for op, _ in GRAD_CASES}

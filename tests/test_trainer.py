@@ -9,6 +9,7 @@ from conftest import random_feature_rows, tiny_model_config
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, gscm, trainer
+from ddgen import htransformer as ht
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,16 @@ def test_make_windows_respects_segments():
 def test_make_windows_rejects_bad_stride():
     with pytest.raises(ValueError):
         trainer.make_windows([(0, 10)], 6, 4, 0)
+
+
+def test_gather_window_arrays_matches_per_window_slices(small_dataset):
+    rows = small_dataset.rows
+    windows = trainer.make_windows([(0, 40), (50, 90)], 6, 4, stride=3)
+    hist, targ = trainer.gather_window_arrays(rows, windows, 6, 4)
+    assert np.array_equal(hist, np.stack([rows[w.start:w.start + 6]
+                                          for w in windows]))
+    assert np.array_equal(targ, np.stack([rows[w.start + 6:w.start + 10]
+                                          for w in windows]))
 
 
 def test_split_ranges_single_trajectory(small_dataset):
@@ -151,6 +162,37 @@ def test_stats_loss_zero_for_identical_windows(small_dataset, small_scaler):
     targ = small_scaler.scale(small_dataset.rows[:4])[None]
     loss = trainer.stats_loss(targ, ad.const(targ.copy()), small_scaler, w, 1.0)
     assert loss.item() == 0.0
+
+
+def test_window_stat_tensors_of_constant_record_nothing(small_dataset,
+                                                       small_scaler):
+    targ = small_scaler.scale(small_dataset.rows[:4])[None]
+    stats = trainer.window_stat_tensors(ad.const(targ), small_scaler)
+    assert set(stats) == set(chanstats.STAT_NAMES) | {"gains_db"}
+    for t in stats.values():
+        assert t._parents == () and not t.requires_grad
+
+
+def test_history_as_constant_or_tensor_gives_identical_grads(small_dataset,
+                                                             small_scaler):
+    n = small_dataset.n_paths
+    cfg = tiny_model_config(feature_dim=gscm.feature_dim(n))
+    params = ht.init_params(cfg, seed=3)
+    rows = small_scaler.scale(small_dataset.rows)
+    windows = trainer.make_windows([(0, 60)], cfg.lag, cfg.window, stride=5)
+    hist, targ = trainer.gather_window_arrays(rows, windows, cfg.lag,
+                                              cfg.window)
+    weights = trainer.calibrate_weights(
+        chanstats.row_stats(small_dataset.rows, n))
+    grads = []
+    for history in (ad.const(hist), ad.tensor(hist)):
+        ad.zero_grad(params.values())
+        out = ht.hybrid_forward(history, cfg, params)
+        trainer.stats_loss(targ, out, small_scaler, weights, 1.0).backward()
+        grads.append({k: p.grad for k, p in params.items()})
+        assert (history.grad is not None) == history.requires_grad
+    for k in params:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
 
 
 def test_stats_loss_quadratic_branch_contribution():
@@ -416,8 +458,14 @@ def test_evaluate_model_runs_and_pools(tmp_path):
     _, eval_ranges = trainer.split_ranges(ds, settings.train_frac)
     true_p, gen_p = trainer.evaluate_model(ds, cfg, res.params, res.scaler,
                                            eval_ranges, stride=2)
-    n_windows = len(trainer.make_windows(eval_ranges, cfg.lag, cfg.window, 2))
+    windows = trainer.make_windows(eval_ranges, cfg.lag, cfg.window, 2)
+    n_windows = len(windows)
     assert len(true_p["delay_spread"]) == n_windows * cfg.window
+    want = trainer.collect_window_stats(
+        np.vstack([ds.rows[w.start + cfg.lag:w.start + cfg.lag + cfg.window]
+                   for w in windows]), ds.n_paths)
+    for name in want:
+        assert np.array_equal(true_p[name], want[name]), name
     assert len(gen_p["delay_spread"]) == n_windows * cfg.window
     assert len(gen_p["mpc_power"]) == n_windows * cfg.window * ds.n_paths
 
