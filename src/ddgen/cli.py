@@ -120,27 +120,11 @@ def cmd_gen(args):
     return 0
 
 
-def _train_settings(cfg):
-    return trainer.TrainSettings(
-        mode=cfg.mode, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        lr=cfg.lr, lr_decay=cfg.lr_decay, lr_decay_every=cfg.lr_decay_every,
-        weight_decay=cfg.weight_decay, beta=cfg.beta, stride=cfg.stride,
-        train_frac=cfg.train_frac, seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every, alpha_max=cfg.alpha_max,
-        dropout=cfg.dropout)
-
-
 def cmd_train(args):
     cfg = _resolve_config(args)
     ds = gscm.read_dataset(args.dataset)
-    model_cfg = cfg.model_config()
-    if ds.n_paths != cfg.n_scatterers:
-        model_cfg = ModelConfig(**{**model_cfg.to_dict(),
-                                   "feature_dim": gscm.feature_dim(ds.n_paths)})
     out = _out_path(args.out)
-    settings = _train_settings(cfg)
-    result = trainer.train(ds, model_cfg, settings, out,
-                           resume_from=args.resume)
+    result = trainer.train(ds, cfg, out, resume_from=args.resume)
     trace_path = _out_path(args.trace) if args.trace else out + ".trace.txt"
     trainer.write_trace(trace_path, result.trace, cfg.to_dict())
     manifest = _write_manifest(out, "train", cfg,
@@ -164,6 +148,10 @@ def _eval_pools_to_cells(report, model_label, lag, window, delta2d):
 
 
 def cmd_evaluate(args):
+    if args.cdf_grid < 2:
+        raise ConfigError("--cdf-grid must be >= 2")
+    if args.stride is not None and args.stride < 1:
+        raise ConfigError("--stride must be >= 1")
     params, scaler, _, meta = trainer.load_train_checkpoint(args.checkpoint)
     model_cfg = ModelConfig.from_dict(meta["model"])
     if args.lag is not None and args.lag != model_cfg.lag:
@@ -175,7 +163,7 @@ def cmd_evaluate(args):
     settings = meta["settings"]
     train_ranges, eval_ranges = trainer.split_ranges(ds,
                                                      settings["train_frac"])
-    stride = args.stride or settings["stride"]
+    stride = settings["stride"] if args.stride is None else args.stride
     grid_size = args.cdf_grid
     true_pools, gen_pools = trainer.evaluate_model(
         ds, model_cfg, params, scaler, eval_ranges, stride=stride)
@@ -237,9 +225,12 @@ def cmd_evaluate(args):
     return 0
 
 
+CELLS_HEADER = "statistic,model,L,P,delta2d,cdf_mse_db"
+
+
 def _write_cells_csv(path, cells):
     with open(path, "w") as f:
-        f.write("statistic,model,L,P,delta2d,cdf_mse_db\n")
+        f.write(CELLS_HEADER + "\n")
         for c in cells:
             f.write("%s,%s,%d,%d,%.17g,%.17g\n"
                     % (c["statistic"], c["model"], c["L"], c["P"],
@@ -247,18 +238,27 @@ def _write_cells_csv(path, cells):
 
 
 def _read_cells_csv(path):
+    """Cells of a ``cells.csv``; a wrong header or a malformed line raises
+    ValueError naming the file and line. Blank lines are skipped."""
     cells = []
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        for line in f:
-            vals = line.strip().split(",")
-            if len(vals) != len(header):
+        header = f.readline().strip()
+        if header != CELLS_HEADER:
+            raise ValueError("%s:1: expected header %r, got %r"
+                             % (path, CELLS_HEADER, header))
+        for lineno, line in enumerate(f, 2):
+            if not line.strip():
                 continue
-            row = dict(zip(header, vals))
-            cells.append({"statistic": row["statistic"], "model": row["model"],
-                          "L": int(row["L"]), "P": int(row["P"]),
-                          "delta2d": float(row["delta2d"]),
-                          "cdf_mse_db": float(row["cdf_mse_db"])})
+            vals = line.strip().split(",")
+            try:
+                if len(vals) != 6:
+                    raise ValueError("expected 6 fields, got %d" % len(vals))
+                cells.append({"statistic": vals[0], "model": vals[1],
+                              "L": int(vals[2]), "P": int(vals[3]),
+                              "delta2d": float(vals[4]),
+                              "cdf_mse_db": float(vals[5])})
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from exc
     return cells
 
 

@@ -1,12 +1,15 @@
-"""Run configuration: one flat key=value namespace covering world synthesis,
-model shape, training schedule and evaluation, with the full-scale defaults
+"""The one run configuration: a flat key=value namespace covering world
+synthesis, model shape and training schedule, with the full-scale defaults
 baked in. Any key can be overridden from a plain-text config file or
-command-line ``--set key=value`` pairs.
+command-line ``--set key=value`` pairs. ``cli`` resolves it, ``trainer.train``
+takes it as is, and the checkpoint, the loss trace and the train manifest
+all record its ``to_dict()``. ``ModelConfig`` is derived from it and has no
+defaults of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import gscm
 from .htransformer import ModelConfig
@@ -65,10 +68,7 @@ class RunConfig:
     train_frac: float = 0.8
     checkpoint_every: int = 0
     alpha_max: float = 1e12
-    # evaluation
-    cdf_grid_size: int = 512
-    cdf_floor_db: float = -120.0
-    eval_stride: int = 0  # 0: reuse the training stride
+    grad_clip: float = 0.0  # global grad-norm cap; 0 disables clipping
     seed: int = 0
 
     def tx(self):
@@ -82,17 +82,13 @@ class RunConfig:
                 (self.bound_y_min, self.bound_y_max),
                 (self.bound_z_min, self.bound_z_max))
 
-    def feature_dim(self):
-        return gscm.feature_dim(self.n_scatterers)
-
-    def model_config(self):
-        return ModelConfig(feature_dim=self.feature_dim(), lag=self.lag,
-                           window=self.window, d_model=self.d_model,
-                           heads=self.heads, enc_layers=self.enc_layers,
-                           dec_layers=self.dec_layers, ffn_dim=self.ffn_dim,
-                           rank=self.rank, bilstm_hidden=self.bilstm_hidden,
-                           bilstm_layers=self.bilstm_layers,
-                           dropout=self.dropout)
+    def model_config(self, n_paths=None):
+        """The model shape. Its ``feature_dim`` follows ``n_paths`` (a
+        dataset's path count) when given, else ``n_scatterers``."""
+        keys = {f.name for f in fields(ModelConfig)} - {"feature_dim"}
+        n = self.n_scatterers if n_paths is None else n_paths
+        return ModelConfig(feature_dim=gscm.feature_dim(n),
+                           **{k: getattr(self, k) for k in keys})
 
     def to_dict(self):
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -119,8 +115,6 @@ class RunConfig:
             raise ConfigError("stride, epochs and batch_size must be >= 1")
         if self.lr <= 0 or self.beta <= 0:
             raise ConfigError("lr and beta must be positive")
-        if self.cdf_grid_size < 2:
-            raise ConfigError("cdf_grid_size must be >= 2")
         try:
             self.model_config().validate()
         except ValueError as exc:
@@ -167,12 +161,6 @@ def load_config(path, base=None):
                 raise ConfigError("%s:%d: expected key=value" % (path, lineno))
             pairs.append(line)
     return apply_overrides(cfg, pairs)
-
-
-def write_config(cfg, path):
-    with open(path, "w") as f:
-        for key in cfg.__dataclass_fields__:
-            f.write("%s=%s\n" % (key, getattr(cfg, key)))
 
 
 def desk_preset():

@@ -29,18 +29,21 @@ NEG_MASK = -1.0e30
 
 @dataclass
 class ModelConfig:
+    """The model's shape. Its defaults live in ``config.RunConfig``, which
+    builds it."""
+
     feature_dim: int
     lag: int
     window: int
-    d_model: int = 512
-    heads: int = 8
-    enc_layers: int = 2
-    dec_layers: int = 2
-    ffn_dim: int = 512
-    rank: int = 64
-    bilstm_hidden: int = 128
-    bilstm_layers: int = 2
-    dropout: float = 0.1
+    d_model: int
+    heads: int
+    enc_layers: int
+    dec_layers: int
+    ffn_dim: int
+    rank: int
+    bilstm_hidden: int
+    bilstm_layers: int
+    dropout: float
 
     def validate(self):
         if self.feature_dim < 1 or self.lag < 1 or self.window < 1:

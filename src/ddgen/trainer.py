@@ -21,7 +21,7 @@ import numpy as np
 from . import adtensor as ad
 from . import chanstats, gscm
 from .config import ConfigError
-from .htransformer import ModelConfig, hybrid_forward, init_params
+from .htransformer import hybrid_forward, init_params
 
 # Smoothing floors inside the loss-side spread computations: sqrt(S^2 + eps)
 # bounds the 1/S gradient blow-up when a generated window degenerates toward
@@ -97,26 +97,18 @@ def fit_scaler(train_rows, n_paths, fixed_cols=None):
 # ---------------------------------------------------------------------------
 # windowing
 
-@dataclass(frozen=True)
-class WindowedExample:
-    traj_id: int
-    start: int  # absolute row index of the first history row
-
-
 def make_windows(segments, lag, window, stride=1):
-    """Sliding (history, target) windows inside each row segment.
+    """Sliding (history, target) windows inside each row segment, as an int
+    array of window starts (the absolute row of each first history row).
 
     Windows never straddle segment boundaries; segments shorter than
     lag + window contribute nothing.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    out = []
-    for traj_id, (lo, hi) in enumerate(segments):
-        last_start = hi - (lag + window)
-        for s in range(lo, last_start + 1, stride):
-            out.append(WindowedExample(traj_id=traj_id, start=s))
-    return out
+    return np.array([s for lo, hi in segments
+                     for s in range(lo, hi - (lag + window) + 1, stride)],
+                    dtype=np.intp)
 
 
 def split_ranges(dataset, train_frac):
@@ -147,15 +139,15 @@ def window_batches(windows, batch_size):
         yield windows[i:i + batch_size]
 
 
-def _window_rows(batch, first, length):
+def _window_rows(starts, first, length):
     """(windows, length) row indices: ``length`` rows from ``first`` rows
     past each window's start."""
-    starts = np.array([w.start for w in batch], dtype=np.intp)
     return starts[:, None] + np.arange(first, first + length)
 
 
 def gather_window_arrays(rows_scaled, batch, lag, window):
-    """The (b, lag, F) histories and (b, window, F) targets of a batch."""
+    """The (b, lag, F) histories and (b, window, F) targets of a batch of
+    window starts."""
     return (rows_scaled[_window_rows(batch, 0, lag)],
             rows_scaled[_window_rows(batch, lag, window)])
 
@@ -382,35 +374,11 @@ def learning_rate(lr0, epoch, decay=0.9, every=10):
 # training loop
 
 @dataclass
-class TrainSettings:
-    mode: str = "gen"  # "gen": statistics-aided loss; "pred": plain smooth-L1
-    epochs: int = 250
-    batch_size: int = 256
-    lr: float = 5e-5
-    lr_decay: float = 0.9
-    lr_decay_every: int = 10
-    weight_decay: float = 0.01
-    beta: float = 1.0
-    stride: int = 1
-    train_frac: float = 0.8
-    seed: int = 0
-    checkpoint_every: int = 0  # epochs between periodic saves; 0 = final only
-    alpha_max: float = 1e12
-    dropout: float = 0.1
-    grad_clip: float = 0.0  # global grad-norm cap; 0 disables clipping
-
-    def to_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-
-@dataclass
 class TrainResult:
     params: dict
     scaler: ScalerSpec
     weights: LossWeights
     trace: list  # (epoch, mean_loss, lr)
-    checkpoint_path: str
-    model_cfg: ModelConfig
 
 
 def _checkpoint_tensors(params, scaler, opt):
@@ -422,12 +390,12 @@ def _checkpoint_tensors(params, scaler, opt):
     return tensors
 
 
-def save_train_checkpoint(path, params, scaler, opt, model_cfg, settings,
+def save_train_checkpoint(path, params, scaler, opt, model_cfg, cfg,
                           weights, epoch, rng):
     meta = {
         "kind": "ddgen-train",
         "model": model_cfg.to_dict(),
-        "settings": settings.to_dict(),
+        "settings": cfg.to_dict(),
         "weights": weights.to_dict() if weights is not None else None,
         "epoch": epoch,
         "adam_t": opt.t,
@@ -456,82 +424,81 @@ def load_train_checkpoint(path):
     return params, scaler, opt_arrays, meta
 
 
-def _check_resume(meta, model_cfg, settings, n_paths):
+def _check_resume(meta, model_cfg, mode, n_paths):
     """A checkpoint resumes only the run that wrote it: the path count, the
     loss mode and every model key must match the request."""
     have = {"n_paths": meta["n_paths"], "mode": meta["settings"]["mode"],
             **meta["model"]}
-    want = {"n_paths": n_paths, "mode": settings.mode, **model_cfg.to_dict()}
+    want = {"n_paths": n_paths, "mode": mode, **model_cfg.to_dict()}
     for key, val in want.items():
         if have.get(key) != val:
             raise ConfigError("cannot resume: checkpoint has %s=%r, this run "
                               "asks for %s=%r" % (key, have.get(key), key, val))
 
 
-def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
-    """Run the optimization loop and write the final checkpoint.
+def train(dataset, cfg, checkpoint_path, resume_from=None):
+    """Run the optimization loop on a ``RunConfig`` and write the final
+    checkpoint, whose ``meta["settings"]`` is ``cfg.to_dict()``.
 
-    Deterministic for a fixed (dataset, settings) pair: initialization,
-    batch shuffling and dropout all derive from settings.seed. A non-finite
-    batch loss aborts with the last periodic checkpoint, if any.
+    The model's ``feature_dim`` follows the dataset's path count; every
+    other model key comes from ``cfg``. Deterministic for a fixed
+    (dataset, cfg) pair: initialization, batch shuffling and dropout all
+    derive from cfg.seed. A non-finite batch loss aborts with the last
+    periodic checkpoint, if any.
     """
-    if settings.mode not in ("gen", "pred"):
-        raise ValueError("mode must be 'gen' or 'pred'")
-    model_cfg.validate()
-    model_cfg = ModelConfig(**{**model_cfg.to_dict(),
-                               "dropout": settings.dropout})
-    train_ranges, _ = split_ranges(dataset, settings.train_frac)
+    cfg.validate()
+    model_cfg = cfg.model_config(dataset.n_paths)
+    train_ranges, _ = split_ranges(dataset, cfg.train_frac)
     train_rows = np.vstack([dataset.rows[lo:hi] for lo, hi in train_ranges])
     if resume_from is not None:
         params, scaler, opt_arrays, meta = load_train_checkpoint(resume_from)
-        _check_resume(meta, model_cfg, settings, dataset.n_paths)
+        _check_resume(meta, model_cfg, cfg.mode, dataset.n_paths)
         weights = (LossWeights.from_dict(meta["weights"])
                    if meta["weights"] else None)
-        opt = AdamW(params, weight_decay=settings.weight_decay)
+        opt = AdamW(params, weight_decay=cfg.weight_decay)
         opt.load_state(opt_arrays, meta["adam_t"])
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         start_epoch = meta["epoch"]
     else:
-        ss = np.random.SeedSequence(settings.seed)
+        ss = np.random.SeedSequence(cfg.seed)
         init_seed, loop_seed = [int(s) for s in
                                 ss.generate_state(2, dtype=np.uint64)]
         params = init_params(model_cfg, seed=init_seed)
         scaler = fit_scaler(train_rows, dataset.n_paths)
         weights = None
-        if settings.mode == "gen":
+        if cfg.mode == "gen":
             weights = calibrate_weights(
                 chanstats.row_stats(train_rows, dataset.n_paths),
-                settings.alpha_max)
-        opt = AdamW(params, weight_decay=settings.weight_decay)
+                cfg.alpha_max)
+        opt = AdamW(params, weight_decay=cfg.weight_decay)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
 
     rows_scaled = scaler.scale(dataset.rows)
-    windows = make_windows(train_ranges, model_cfg.lag, model_cfg.window,
-                           settings.stride)
-    if not windows:
+    starts = make_windows(train_ranges, model_cfg.lag, model_cfg.window,
+                          cfg.stride)
+    if not starts.size:
         raise ValueError("training split too short for lag=%d window=%d"
                          % (model_cfg.lag, model_cfg.window))
     trace = []
     last_good = None
-    for epoch in range(start_epoch, settings.epochs):
-        lr = learning_rate(settings.lr, epoch, settings.lr_decay,
-                           settings.lr_decay_every)
-        order = rng.permutation(len(windows))
+    for epoch in range(start_epoch, cfg.epochs):
+        lr = learning_rate(cfg.lr, epoch, cfg.lr_decay, cfg.lr_decay_every)
+        order = rng.permutation(len(starts))
         total_loss = 0.0
-        for batch_idx in window_batches(order, settings.batch_size):
-            batch = [windows[i] for i in batch_idx]
+        for batch_idx in window_batches(order, cfg.batch_size):
+            batch = starts[batch_idx]
             hist, targ = gather_window_arrays(rows_scaled, batch,
                                               model_cfg.lag, model_cfg.window)
             out = hybrid_forward(hist, model_cfg, params, training=True,
                                  dropout_rng=rng)
             try:
-                if settings.mode == "gen":
+                if cfg.mode == "gen":
                     loss = stats_loss(targ, out, scaler, weights,
-                                      settings.beta)
+                                      cfg.beta)
                 else:
-                    loss = predictive_loss(targ, out, settings.beta)
+                    loss = predictive_loss(targ, out, cfg.beta)
             except NonFiniteStat as exc:
                 raise TrainingDiverged(
                     "%s at epoch %d" % (exc, epoch + 1), last_good) from exc
@@ -541,25 +508,24 @@ def train(dataset, model_cfg, settings, checkpoint_path, resume_from=None):
                     "non-finite loss at epoch %d" % (epoch + 1), last_good)
             opt.zero_grad()
             loss.backward()
-            if settings.grad_clip > 0:
-                opt.clip_grad_norm(settings.grad_clip)
+            if cfg.grad_clip > 0:
+                opt.clip_grad_norm(cfg.grad_clip)
             opt.step(lr)
             total_loss += loss_val * len(batch)
             # the step's graph holds every intermediate and its gradient:
             # free it before the next forward (or the final save) builds more
             del out, loss
-        mean_loss = total_loss / len(windows)
+        mean_loss = total_loss / len(starts)
         trace.append((epoch + 1, mean_loss, lr))
-        if (settings.checkpoint_every and
-                (epoch + 1) % settings.checkpoint_every == 0):
+        if (cfg.checkpoint_every and
+                (epoch + 1) % cfg.checkpoint_every == 0):
             save_train_checkpoint(checkpoint_path, params, scaler, opt,
-                                  model_cfg, settings, weights, epoch + 1, rng)
+                                  model_cfg, cfg, weights, epoch + 1, rng)
             last_good = checkpoint_path
     save_train_checkpoint(checkpoint_path, params, scaler, opt, model_cfg,
-                          settings, weights, settings.epochs, rng)
+                          cfg, weights, cfg.epochs, rng)
     return TrainResult(params=params, scaler=scaler, weights=weights,
-                       trace=trace, checkpoint_path=checkpoint_path,
-                       model_cfg=model_cfg)
+                       trace=trace)
 
 
 def write_trace(path, trace, config_snapshot=None):
@@ -606,18 +572,18 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
                           % (lo, hi))
             continue
         usable.append(rng_pair)
-    windows = make_windows(usable, model_cfg.lag, model_cfg.window, stride)
-    if not windows:
+    starts = make_windows(usable, model_cfg.lag, model_cfg.window, stride)
+    if not starts.size:
         raise ValueError("no evaluable windows in the given ranges")
     rows_scaled = scaler.scale(dataset.rows)
     n_feat = dataset.rows.shape[1]
     gen_rows = []
-    for batch in window_batches(windows, batch_size):
+    for batch in window_batches(starts, batch_size):
         hist, _ = gather_window_arrays(rows_scaled, batch, model_cfg.lag,
                                        model_cfg.window)
         out = hybrid_forward(hist, model_cfg, params, training=False)
         gen_rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
-    true_rows = dataset.rows[_window_rows(windows, model_cfg.lag,
+    true_rows = dataset.rows[_window_rows(starts, model_cfg.lag,
                                           model_cfg.window)]
     true_pool = collect_window_stats(true_rows.reshape(-1, n_feat),
                                      dataset.n_paths)

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from ddgen import gscm, trainer
-from ddgen.htransformer import ModelConfig
+from ddgen.config import RunConfig
+
+
+def tiny_run_config(**overrides):
+    """A RunConfig with a two-path world and the tiny model shape."""
+    base = dict(n_scatterers=2, lag=6, window=4, d_model=8, heads=2,
+                enc_layers=1, dec_layers=1, ffn_dim=8, rank=3,
+                bilstm_hidden=4, bilstm_layers=1, dropout=0.0)
+    base.update(overrides)
+    return RunConfig(**base)
 
 
 def tiny_model_config(**overrides):
-    base = dict(feature_dim=gscm.feature_dim(2), lag=6, window=4, d_model=8,
-                heads=2, enc_layers=1, dec_layers=1, ffn_dim=8, rank=3,
-                bilstm_hidden=4, bilstm_layers=1, dropout=0.0)
-    base.update(overrides)
-    return ModelConfig(**base).validate()
+    return tiny_run_config(**overrides).model_config().validate()
 
 
 def random_feature_rows(n_rows, n_paths, seed=0):

@@ -248,14 +248,6 @@ def _desk_dataset(cfg, seed):
         hold_range=(cfg.hold_min, cfg.hold_max))
 
 
-def _desk_settings(cfg, mode, seed):
-    return trainer.TrainSettings(
-        mode=mode, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        lr_decay=cfg.lr_decay, lr_decay_every=cfg.lr_decay_every,
-        weight_decay=cfg.weight_decay, beta=cfg.beta, stride=cfg.stride,
-        train_frac=cfg.train_frac, seed=seed, dropout=cfg.dropout)
-
-
 def _distances(ds, model_cfg, params, scaler, eval_ranges, true_pools=None):
     t_pools, g_pools = trainer.evaluate_model(ds, model_cfg, params, scaler,
                                               eval_ranges, stride=2)
@@ -277,8 +269,8 @@ def test_criterion_7_smoke_training(tmp_path):
     for seed in SEEDS:
         ds = _desk_dataset(cfg, seed)
         _, eval_ranges = trainer.split_ranges(ds, cfg.train_frac)
-        result = trainer.train(ds, model_cfg, _desk_settings(cfg, "gen", seed),
-                               str(tmp_path / ("c7_%d.bin" % seed)))
+        cfg.mode, cfg.seed = "gen", seed
+        result = trainer.train(ds, cfg, str(tmp_path / ("c7_%d.bin" % seed)))
         first.append(result.trace[0][1])
         last.append(result.trace[-1][1])
         got = _distances(ds, model_cfg, result.params, result.scaler,
@@ -317,9 +309,9 @@ def test_criterion_8_gen_vs_pred_trend(tmp_path):
         _, eval_ranges = trainer.split_ranges(ds, cfg.train_frac)
         per_mode = {}
         for mode in ("gen", "pred"):
+            cfg.mode, cfg.seed = mode, seed
             result = trainer.train(
-                ds, model_cfg, _desk_settings(cfg, mode, seed),
-                str(tmp_path / ("c8_%s_%d.bin" % (mode, seed))))
+                ds, cfg, str(tmp_path / ("c8_%s_%d.bin" % (mode, seed))))
             per_mode[mode] = _distances(ds, model_cfg, result.params,
                                         result.scaler, eval_ranges)
         margin = per_mode["pred"]["delay_spread"] - per_mode["gen"]["delay_spread"]

@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -6,6 +9,8 @@ import shutil
 import numpy as np
 import pytest
 
+import ddgen
+from ddgen import adtensor as ad
 from ddgen import cli, gscm, trainer
 from ddgen.config import ConfigError, RunConfig, apply_overrides, load_config
 
@@ -146,6 +151,21 @@ def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path):
     assert manifest["inputs"]["dataset_sha256"] == _sha256(dataset_path)
 
 
+@pytest.mark.parametrize("flags,want", [
+    (["--cdf-grid", "1"], "--cdf-grid"),
+    (["--stride", "0"], "--stride"),
+    (["--stride", "-1"], "--stride"),
+])
+def test_evaluate_rejects_bad_flags_before_loading(tmp_path, capsys, flags,
+                                                   want):
+    # neither input exists: loading either would exit 3, not 1
+    rc = cli.main(["evaluate", "--checkpoint", str(tmp_path / "no.bin"),
+                   "--dataset", str(tmp_path / "no.txt"),
+                   "--out", str(tmp_path / "ev")] + flags)
+    assert rc == 1
+    assert "config error: %s" % want in capsys.readouterr().err
+
+
 def test_evaluate_rejects_mismatched_window(tmp_path, dataset_path,
                                             checkpoint_path):
     rc = cli.main(["evaluate", "--checkpoint", checkpoint_path,
@@ -199,6 +219,32 @@ def test_table_merges_and_averages(tmp_path):
     assert "-25.0000" in text  # three-run style averaging of duplicate cells
 
 
+@pytest.mark.parametrize("how", ["truncated", "header", "blank"])
+def test_table_rejects_malformed_cells(tmp_path, capsys, how):
+    path = str(tmp_path / "cells.csv")
+    cli._write_cells_csv(path, [
+        {"statistic": "delay_spread", "model": "gen", "L": 6, "P": P,
+         "delta2d": 1.0, "cdf_mse_db": -30.0} for P in (4, 8)])
+    lines = open(path).read().splitlines()
+    if how == "truncated":
+        lines[-1] = "delay_spread,gen,6,4"
+        want = "cells.csv:3: expected 6 fields"
+    elif how == "header":
+        lines[0] = "statistic,model"
+        want = "cells.csv:1: expected header"
+    else:  # blank lines carry no cell and stay allowed
+        lines.insert(2, "")
+        want = None
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    rc = cli.main(["table", path])
+    captured = capsys.readouterr()
+    if want is None:
+        assert rc == 0 and captured.out.count("-30.0000") == 2
+    else:
+        assert rc == 2 and want in captured.err and captured.out == ""
+
+
 def test_reference_table(capsys):
     assert cli.main(["reference"]) == 0
     out = capsys.readouterr().out
@@ -219,6 +265,10 @@ def test_exit_codes(tmp_path):
     # unknown config key -> 1
     assert cli.main(["gen", "--out", str(tmp_path / "x.txt"),
                      "--set", "nonsense=1"]) == 1
+    # keys that nothing read were deleted: naming one is an unknown key
+    for key in ("eval_stride", "cdf_floor_db", "cdf_grid_size"):
+        assert cli.main(["gen", "--out", str(tmp_path / "x.txt"),
+                         "--set", "%s=1" % key]) == 1
     # invalid config value -> 1
     assert cli.main(["gen", "--out", str(tmp_path / "x.txt"),
                      "--set", "fc_ghz=-2"]) == 1
@@ -332,3 +382,80 @@ def test_config_file_and_overrides(tmp_path):
         apply_overrides(cfg, ["lag"])
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+def test_checkpoint_settings_are_the_run_config(tmp_path, dataset_path,
+                                                monkeypatch):
+    caps = []
+    clip = trainer.AdamW.clip_grad_norm
+
+    def recording_clip(self, max_norm):
+        caps.append(max_norm)
+        return clip(self, max_norm)
+
+    monkeypatch.setattr(trainer.AdamW, "clip_grad_norm", recording_clip)
+    out = str(tmp_path / "ck.bin")
+    assert cli.main(train_args(dataset_path, out)
+                    + ["--set", "grad_clip=0.5"]) == 0
+    _, _, _, meta = trainer.load_train_checkpoint(out)
+    prefix = "# config: "
+    line = next(l for l in open(out + ".trace.txt") if l.startswith(prefix))
+    assert meta["settings"] == json.loads(line[len(prefix):])
+    assert meta["settings"] == json.load(open(out + ".manifest.json"))["config"]
+    assert meta["settings"]["grad_clip"] == 0.5
+    assert caps and set(caps) == {0.5}
+
+
+# The layout of ``meta["settings"]`` in checkpoints written while training
+# kept its own 15-key settings type beside the run configuration.
+OLD_SETTINGS_KEYS = ("mode", "epochs", "batch_size", "lr", "lr_decay",
+                     "lr_decay_every", "weight_decay", "beta", "stride",
+                     "train_frac", "seed", "checkpoint_every", "alpha_max",
+                     "dropout", "grad_clip")
+
+
+def test_old_settings_layout_evaluates_and_resumes(tmp_path, dataset_path):
+    old = str(tmp_path / "old.bin")
+    assert cli.main(train_args(dataset_path, old, epochs=1)) == 0
+    arrays, meta = ad.load_checkpoint(old)
+    meta["settings"] = {k: meta["settings"][k] for k in OLD_SETTINGS_KEYS}
+    ad.save_checkpoint(old, arrays, meta)
+
+    assert cli.main(["evaluate", "--checkpoint", old, "--dataset",
+                     dataset_path, "--out", str(tmp_path / "ev")]) == 0
+    full, resumed = str(tmp_path / "full.bin"), str(tmp_path / "res.bin")
+    assert cli.main(train_args(dataset_path, full, epochs=2)) == 0
+    assert cli.main(train_args(dataset_path, resumed, epochs=2)
+                    + ["--resume", old]) == 0
+    last_rows = [open(p + ".trace.txt").read().splitlines()[-1]
+                 for p in (full, resumed)]
+    assert last_rows[0].startswith("2 ") and last_rows[0] == last_rows[1]
+
+
+def _attributes_read(paths):
+    """Names of every attribute loaded in the given sources, outside the
+    bodies of ``validate`` methods."""
+    names = set()
+
+    class Reads(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            if node.name != "validate":
+                self.generic_visit(node)
+
+        def visit_Attribute(self, node):
+            if isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            self.generic_visit(node)
+
+    for path in paths:
+        with open(path) as f:
+            Reads().visit(ast.parse(f.read(), path))
+    return names
+
+
+def test_every_config_key_is_read():
+    sources = glob.glob(os.path.join(os.path.dirname(ddgen.__file__), "*.py"))
+    read = _attributes_read(sources)
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in read]
+    assert unread == []

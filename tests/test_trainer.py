@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -5,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_feature_rows, tiny_model_config
+from conftest import random_feature_rows, tiny_model_config, tiny_run_config
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, gscm, trainer
@@ -66,10 +67,15 @@ def test_make_windows_counting():
 
 
 def test_make_windows_respects_segments():
-    wins = trainer.make_windows([(0, 10), (10, 20)], 6, 4, 1)
-    assert len(wins) == 2
-    assert {w.traj_id for w in wins} == {0, 1}
-    assert all(w.start + 10 <= 10 or w.start >= 10 for w in wins)
+    segments = [(0, 10), (10, 20), (20, 33)]
+    starts = trainer.make_windows(segments, 6, 4, 1)
+    assert starts.dtype == np.intp
+    assert starts.tolist() == [0, 10, 20, 21, 22, 23]
+    # each window lies inside one segment, and every segment holds one
+    inside = [[lo <= s and s + 10 <= hi for lo, hi in segments]
+              for s in starts]
+    assert all(sum(row) == 1 for row in inside)
+    assert all(any(col) for col in zip(*inside))
 
 
 def test_make_windows_rejects_bad_stride():
@@ -79,12 +85,11 @@ def test_make_windows_rejects_bad_stride():
 
 def test_gather_window_arrays_matches_per_window_slices(small_dataset):
     rows = small_dataset.rows
-    windows = trainer.make_windows([(0, 40), (50, 90)], 6, 4, stride=3)
-    hist, targ = trainer.gather_window_arrays(rows, windows, 6, 4)
-    assert np.array_equal(hist, np.stack([rows[w.start:w.start + 6]
-                                          for w in windows]))
-    assert np.array_equal(targ, np.stack([rows[w.start + 6:w.start + 10]
-                                          for w in windows]))
+    starts = trainer.make_windows([(0, 40), (50, 90)], 6, 4, stride=3)
+    hist, targ = trainer.gather_window_arrays(rows, starts, 6, 4)
+    assert np.array_equal(hist, np.stack([rows[s:s + 6] for s in starts]))
+    assert np.array_equal(targ, np.stack([rows[s + 6:s + 10]
+                                          for s in starts]))
 
 
 def test_split_ranges_single_trajectory(small_dataset):
@@ -176,11 +181,11 @@ def test_window_stat_tensors_of_constant_record_nothing(small_dataset,
 def test_history_as_constant_or_tensor_gives_identical_grads(small_dataset,
                                                              small_scaler):
     n = small_dataset.n_paths
-    cfg = tiny_model_config(feature_dim=gscm.feature_dim(n))
+    cfg = tiny_model_config(n_scatterers=n)
     params = ht.init_params(cfg, seed=3)
     rows = small_scaler.scale(small_dataset.rows)
-    windows = trainer.make_windows([(0, 60)], cfg.lag, cfg.window, stride=5)
-    hist, targ = trainer.gather_window_arrays(rows, windows, cfg.lag,
+    starts = trainer.make_windows([(0, 60)], cfg.lag, cfg.window, stride=5)
+    hist, targ = trainer.gather_window_arrays(rows, starts, cfg.lag,
                                               cfg.window)
     weights = trainer.calibrate_weights(
         chanstats.row_stats(small_dataset.rows, n))
@@ -363,16 +368,14 @@ def test_learning_rate_schedule():
 def _tiny_training_setup(tmp_path, mode="gen", epochs=3, seed=5):
     ds = gscm.synthesize_dataset(n_paths=2, steps=60, seed=9, fc_ghz=2.4,
                                  delta2d=1.0, trajectories=2)
-    cfg = tiny_model_config()
-    settings = trainer.TrainSettings(mode=mode, epochs=epochs, batch_size=16,
-                                     lr=1e-3, stride=2, train_frac=0.5,
-                                     seed=seed, dropout=0.0)
-    return ds, cfg, settings, str(tmp_path / "ck.bin")
+    cfg = tiny_run_config(mode=mode, epochs=epochs, batch_size=16, lr=1e-3,
+                          stride=2, train_frac=0.5, seed=seed)
+    return ds, cfg, str(tmp_path / "ck.bin")
 
 
 def test_train_smoke_and_trace(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path)
-    result = trainer.train(ds, cfg, settings, path)
+    ds, cfg, path = _tiny_training_setup(tmp_path)
+    result = trainer.train(ds, cfg, path)
     assert len(result.trace) == 3
     epochs = [row[0] for row in result.trace]
     assert epochs == [1, 2, 3]
@@ -385,28 +388,27 @@ def test_train_smoke_and_trace(tmp_path):
 
 
 def test_train_pred_mode_shares_pipeline(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, mode="pred")
-    result = trainer.train(ds, cfg, settings, path)
+    ds, cfg, path = _tiny_training_setup(tmp_path, mode="pred")
+    result = trainer.train(ds, cfg, path)
     assert result.weights is None
     assert len(result.trace) == 3
 
 
 def test_train_deterministic(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path)
-    a = trainer.train(ds, cfg, settings, path)
-    b = trainer.train(ds, cfg, settings, str(tmp_path / "ck2.bin"))
+    ds, cfg, path = _tiny_training_setup(tmp_path)
+    a = trainer.train(ds, cfg, path)
+    b = trainer.train(ds, cfg, str(tmp_path / "ck2.bin"))
     assert a.trace == b.trace
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=3)
-    full = trainer.train(ds, cfg, settings, path)
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=3)
+    full = trainer.train(ds, cfg, path)
 
-    short = trainer.TrainSettings(**{**settings.to_dict(), "epochs": 2,
-                                     "checkpoint_every": 2})
+    short = dataclasses.replace(cfg, epochs=2, checkpoint_every=2)
     part_path = str(tmp_path / "part.bin")
-    trainer.train(ds, cfg, short, part_path)
-    resumed = trainer.train(ds, cfg, settings, str(tmp_path / "res.bin"),
+    trainer.train(ds, short, part_path)
+    resumed = trainer.train(ds, cfg, str(tmp_path / "res.bin"),
                             resume_from=part_path)
     assert resumed.trace[-1][0] == 3
     assert abs(resumed.trace[-1][1] - full.trace[-1][1]) < 1e-6
@@ -414,21 +416,20 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_aborts(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path)
-    wild = trainer.TrainSettings(**{**settings.to_dict(), "lr": 1e18,
-                                    "epochs": 30})
+    ds, cfg, path = _tiny_training_setup(tmp_path)
+    wild = dataclasses.replace(cfg, lr=1e18, epochs=30)
     with pytest.raises(trainer.TrainingDiverged):
-        trainer.train(ds, cfg, wild, path)
+        trainer.train(ds, wild, path)
 
 
 def test_train_rejects_short_split(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path)
+    ds, cfg, path = _tiny_training_setup(tmp_path)
     single = gscm.Dataset(rows=ds.rows[:60], n_paths=ds.n_paths,
                           fc_ghz=ds.fc_ghz, delta2d=ds.delta2d, h_rx=ds.h_rx,
                           seed=ds.seed, traj_steps=(60,))
-    bad = trainer.TrainSettings(**{**settings.to_dict(), "train_frac": 0.05})
+    bad = dataclasses.replace(cfg, train_frac=0.05)
     with pytest.raises(ValueError, match="short"):
-        trainer.train(single, cfg, bad, path)
+        trainer.train(single, bad, path)
 
 
 def test_write_trace_bytes_stable(tmp_path):
@@ -453,17 +454,17 @@ def test_cdf_report_floor_on_identical_pools(small_dataset):
 
 
 def test_evaluate_model_runs_and_pools(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=1)
-    res = trainer.train(ds, cfg, settings, path)
-    _, eval_ranges = trainer.split_ranges(ds, settings.train_frac)
-    true_p, gen_p = trainer.evaluate_model(ds, cfg, res.params, res.scaler,
-                                           eval_ranges, stride=2)
-    windows = trainer.make_windows(eval_ranges, cfg.lag, cfg.window, 2)
-    n_windows = len(windows)
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
+    res = trainer.train(ds, cfg, path)
+    _, eval_ranges = trainer.split_ranges(ds, cfg.train_frac)
+    true_p, gen_p = trainer.evaluate_model(ds, cfg.model_config(), res.params,
+                                           res.scaler, eval_ranges, stride=2)
+    starts = trainer.make_windows(eval_ranges, cfg.lag, cfg.window, 2)
+    n_windows = len(starts)
     assert len(true_p["delay_spread"]) == n_windows * cfg.window
     want = trainer.collect_window_stats(
-        np.vstack([ds.rows[w.start + cfg.lag:w.start + cfg.lag + cfg.window]
-                   for w in windows]), ds.n_paths)
+        np.vstack([ds.rows[s + cfg.lag:s + cfg.lag + cfg.window]
+                   for s in starts]), ds.n_paths)
     for name in want:
         assert np.array_equal(true_p[name], want[name]), name
     assert len(gen_p["delay_spread"]) == n_windows * cfg.window
@@ -472,18 +473,21 @@ def test_evaluate_model_runs_and_pools(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_evaluate_model_skips_short_ranges(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=1)
-    res = trainer.train(ds, cfg, settings, path)
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
+    res = trainer.train(ds, cfg, path)
+    model_cfg = cfg.model_config()
     with pytest.warns(UserWarning, match="skipped"):
-        true_p, _ = trainer.evaluate_model(ds, cfg, res.params, res.scaler,
-                                           [(0, 5), (60, 120)], stride=2)
+        true_p, _ = trainer.evaluate_model(ds, model_cfg, res.params,
+                                           res.scaler, [(0, 5), (60, 120)],
+                                           stride=2)
     assert len(true_p["delay_spread"]) > 0
     with pytest.raises(ValueError, match="windows"):
-        trainer.evaluate_model(ds, cfg, res.params, res.scaler, [(0, 5)])
+        trainer.evaluate_model(ds, model_cfg, res.params, res.scaler,
+                               [(0, 5)])
 
 
 def test_train_frees_each_step_graph(tmp_path, monkeypatch):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=2)
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=2)
     outputs, alive = [], []
 
     def live_outputs():
@@ -504,7 +508,7 @@ def test_train_frees_each_step_graph(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "save_train_checkpoint", save)
     gc.disable()  # reference counting alone must release the graph
     try:
-        trainer.train(ds, cfg, settings, path)
+        trainer.train(ds, cfg, path)
     finally:
         gc.enable()
     assert len(outputs) > 2
@@ -512,8 +516,8 @@ def test_train_frees_each_step_graph(tmp_path, monkeypatch):
 
 
 def test_checkpoint_roundtrip_through_trainer(tmp_path):
-    ds, cfg, settings, path = _tiny_training_setup(tmp_path, epochs=1)
-    res = trainer.train(ds, cfg, settings, path)
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
+    res = trainer.train(ds, cfg, path)
     params, scaler, opt_arrays, meta = trainer.load_train_checkpoint(path)
     assert set(params) == set(res.params)
     for k in params:
