@@ -68,7 +68,6 @@ class RunConfig:
     train_frac: float = 0.8
     checkpoint_every: int = 0
     alpha_max: float = 1e12
-    grad_clip: float = 0.0  # global grad-norm cap; 0 disables clipping
     seed: int = 0
 
     def tx(self):

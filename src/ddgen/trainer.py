@@ -508,8 +508,6 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
                     "non-finite loss at epoch %d" % (epoch + 1), last_good)
             opt.zero_grad()
             loss.backward()
-            if cfg.grad_clip > 0:
-                opt.clip_grad_norm(cfg.grad_clip)
             opt.step(lr)
             total_loss += loss_val * len(batch)
             # the step's graph holds every intermediate and its gradient:

@@ -13,6 +13,7 @@ import ddgen
 from ddgen import adtensor as ad
 from ddgen import cli, gscm, trainer
 from ddgen.config import ConfigError, RunConfig, apply_overrides, load_config
+from ddgen.htransformer import ModelConfig
 
 TINY_MODEL = ["--set", "d_model=8", "--set", "heads=2", "--set", "rank=3",
               "--set", "ffn_dim=8", "--set", "bilstm_hidden=4",
@@ -384,34 +385,24 @@ def test_config_file_and_overrides(tmp_path):
         load_config(str(tmp_path / "missing.cfg"))
 
 
-def test_checkpoint_settings_are_the_run_config(tmp_path, dataset_path,
-                                                monkeypatch):
-    caps = []
-    clip = trainer.AdamW.clip_grad_norm
-
-    def recording_clip(self, max_norm):
-        caps.append(max_norm)
-        return clip(self, max_norm)
-
-    monkeypatch.setattr(trainer.AdamW, "clip_grad_norm", recording_clip)
+def test_checkpoint_settings_are_the_run_config(tmp_path, dataset_path):
     out = str(tmp_path / "ck.bin")
-    assert cli.main(train_args(dataset_path, out)
-                    + ["--set", "grad_clip=0.5"]) == 0
+    assert cli.main(train_args(dataset_path, out)) == 0
     _, _, _, meta = trainer.load_train_checkpoint(out)
     prefix = "# config: "
     line = next(l for l in open(out + ".trace.txt") if l.startswith(prefix))
     assert meta["settings"] == json.loads(line[len(prefix):])
     assert meta["settings"] == json.load(open(out + ".manifest.json"))["config"]
-    assert meta["settings"]["grad_clip"] == 0.5
-    assert caps and set(caps) == {0.5}
+    assert meta["settings"] == RunConfig(**meta["settings"]).to_dict()
 
 
 # The layout of ``meta["settings"]`` in checkpoints written while training
-# kept its own 15-key settings type beside the run configuration.
+# kept its own 15-key settings type beside the run configuration: 14 run
+# keys plus a gradient-clipping cap that was always 0.
 OLD_SETTINGS_KEYS = ("mode", "epochs", "batch_size", "lr", "lr_decay",
                      "lr_decay_every", "weight_decay", "beta", "stride",
                      "train_frac", "seed", "checkpoint_every", "alpha_max",
-                     "dropout", "grad_clip")
+                     "dropout")
 
 
 def test_old_settings_layout_evaluates_and_resumes(tmp_path, dataset_path):
@@ -419,6 +410,7 @@ def test_old_settings_layout_evaluates_and_resumes(tmp_path, dataset_path):
     assert cli.main(train_args(dataset_path, old, epochs=1)) == 0
     arrays, meta = ad.load_checkpoint(old)
     meta["settings"] = {k: meta["settings"][k] for k in OLD_SETTINGS_KEYS}
+    meta["settings"]["grad_clip"] = 0.0
     ad.save_checkpoint(old, arrays, meta)
 
     assert cli.main(["evaluate", "--checkpoint", old, "--dataset",
@@ -432,30 +424,71 @@ def test_old_settings_layout_evaluates_and_resumes(tmp_path, dataset_path):
     assert last_rows[0].startswith("2 ") and last_rows[0] == last_rows[1]
 
 
-def _attributes_read(paths):
-    """Names of every attribute loaded in the given sources, outside the
-    bodies of ``validate`` methods."""
-    names = set()
+def _config_reads(paths):
+    """Attributes read from a ``RunConfig`` and from a ``ModelConfig`` in
+    the given sources, outside the bodies of ``validate`` methods.
+
+    Receivers are told apart by name, which is how the sources name them:
+    ``self`` inside either class; ``cfg`` is a ``ModelConfig`` throughout
+    ``htransformer`` and in any function that binds it from
+    ``ModelConfig...``, and a ``RunConfig`` everywhere else. Reads on
+    other names (``args.stride``, ``model_cfg.lag``, ``ds.delta2d``) do
+    not count."""
+    reads = {"RunConfig": set(), "ModelConfig": set()}
+
+    def binds_model_cfg(fn):
+        return any(isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "cfg"
+                           for t in node.targets)
+                   and ast.unparse(node.value).startswith("ModelConfig")
+                   for node in ast.walk(fn))
 
     class Reads(ast.NodeVisitor):
+        def __init__(self, cfg_kind):
+            self.kinds = {"cfg": cfg_kind, "self": None}
+
+        def visit_ClassDef(self, node):
+            outer = self.kinds
+            self.kinds = dict(outer, self=node.name if node.name in reads
+                              else None)
+            self.generic_visit(node)
+            self.kinds = outer
+
         def visit_FunctionDef(self, node):
-            if node.name != "validate":
-                self.generic_visit(node)
+            if node.name == "validate":
+                return
+            outer = self.kinds
+            if binds_model_cfg(node):
+                self.kinds = dict(outer, cfg="ModelConfig")
+            self.generic_visit(node)
+            self.kinds = outer
 
         def visit_Attribute(self, node):
-            if isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+            if isinstance(node.ctx, ast.Load) and isinstance(node.value,
+                                                             ast.Name):
+                kind = self.kinds.get(node.value.id)
+                if kind is not None:
+                    reads[kind].add(node.attr)
             self.generic_visit(node)
 
     for path in paths:
         with open(path) as f:
-            Reads().visit(ast.parse(f.read(), path))
-    return names
+            tree = ast.parse(f.read(), path)
+        model_module = os.path.basename(path) == "htransformer.py"
+        Reads("ModelConfig" if model_module else "RunConfig").visit(tree)
+    return reads
 
 
 def test_every_config_key_is_read():
     sources = glob.glob(os.path.join(os.path.dirname(ddgen.__file__), "*.py"))
-    read = _attributes_read(sources)
+    reads = _config_reads(sources)
+    # RunConfig.model_config hands every ModelConfig field but feature_dim
+    # over by name; such a key is read when the model reads it
+    handed = {f.name for f in dataclasses.fields(ModelConfig)} - {"feature_dim"}
+    cfg = RunConfig()
+    model_cfg = cfg.model_config()
+    assert all(getattr(model_cfg, k) == getattr(cfg, k) for k in handed)
+    read = reads["RunConfig"] | (handed & reads["ModelConfig"])
     unread = [f.name for f in dataclasses.fields(RunConfig)
               if f.name not in read]
     assert unread == []
