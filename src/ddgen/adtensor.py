@@ -12,11 +12,7 @@ order. Gradients accumulate additively across repeated backward calls until
 ``zero_grad`` is invoked.
 
 Gradient arrays are never written in place, because ``_accum`` hands the
-same array to several nodes without copying. The one exception is
-``split``: its parts write their slices into a zeroed buffer that only their
-collector node holds, and the collector passes that buffer to the split
-input once and then drops it. So all parts of one split cost one
-parent-sized gradient, not one each.
+same array to several nodes without copying.
 
 Broadcasting is restricted: elementwise binary ops accept operands of equal
 rank where any axis of one operand may be 1 (plus plain python scalars via
@@ -263,11 +259,6 @@ def affine(x, w, b):
     return _node(y, (x, w, b), back)
 
 
-def transpose_last(a):
-    return _node(np.swapaxes(a.data, -1, -2), (a,),
-                 lambda g: _accum(a, np.swapaxes(g, -1, -2)))
-
-
 def concat(parts, axis=-1):
     if not parts:
         raise ValueError("concat: empty input list")
@@ -298,37 +289,6 @@ def narrow(a, axis, start, length):
         buf[idx] = g
         _accum(a, buf)
     return _node(a.data[idx], (a,), back)
-
-
-def split(a, axis, sizes):
-    """Cut one axis into consecutive parts of the given sizes.
-
-    The parts are views of ``a.data``. Their backwards write into one zeroed
-    buffer held by a collector node, which hands it to ``a`` once.
-    """
-    axis %= a.data.ndim
-    if min(sizes, default=0) < 1 or sum(sizes) != a.data.shape[axis]:
-        raise ValueError("split: sizes %s do not cover axis %d of %s"
-                         % (list(sizes), axis, a.data.shape))
-    held = [None]  # the gradient buffer, shared by the parts until handed on
-
-    def collect(_):
-        buf, held[0] = held[0], None
-        _accum(a, buf)
-    collector = _node(a.data, (a,), collect)
-
-    parts = []
-    lo = 0
-    for n in sizes:
-        idx = (slice(None),) * axis + (slice(lo, lo + n),)
-        lo += n
-
-        def back(g, idx=idx):
-            if held[0] is None:
-                held[0] = np.zeros_like(a.data)
-            held[0][idx] = g
-        parts.append(_node(a.data[idx], (collector,), back))
-    return parts
 
 
 def gather_last(a, cols):
@@ -437,36 +397,173 @@ def db_to_linear(a):
 # ---------------------------------------------------------------------------
 # composite ops
 
-def softmax(a):
-    """Row-stable softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot))
-    return _node(y, (a,), back)
-
-
 def layer_norm(a, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    """Normalize over the last axis, then scale and shift.
+
+    ``gamma`` and ``beta`` hold one entry per position of that axis. The
+    variance is ``np.var``'s sum of squared deviations over n.
+    """
+    n = a.data.shape[-1]
+    for p in (gamma, beta):
+        if p.data.size != n or p.data.shape[-1] != n:
+            raise ValueError("layer_norm: gamma/beta %s must hold the %d "
+                             "entries of the last axis of %s"
+                             % (p.data.shape, n, a.data.shape))
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
 
     def back(g):
         if gamma.requires_grad:
-            _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0)
+                   .reshape(gamma.data.shape))
         if beta.requires_grad:
-            _accum(beta, _unbroadcast(g, beta.data.shape))
+            _accum(beta, g.reshape(-1, n).sum(axis=0).reshape(beta.data.shape))
         if a.requires_grad:
+            # (gg - mean(gg) - xhat * mean(gg * xhat)) * inv, gg = g * gamma
             gg = g * gamma.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, (gg - m1 - xhat * m2) * inv)
-    return _node(xhat * gamma.data + beta.data, (a, gamma, beta), back)
+            m1 = gg.sum(axis=-1, keepdims=True) / n
+            t = gg * xhat
+            m2 = t.sum(axis=-1, keepdims=True) / n
+            np.multiply(xhat, m2, out=t)
+            gg -= m1
+            gg -= t
+            gg *= inv
+            _accum(a, gg)
+    return _node(y, (a, gamma, beta), back)
+
+
+def projected_attention(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
+                        mask=None):
+    """Multi-head attention with keys and values compressed along the
+    sequence axis, as one node.
+
+    ``x_q`` is (b, Lq, d) and ``x_kv`` is (b, Lkv, d); ``wq``, ``wk``,
+    ``wv`` and ``wo`` are (d, d); ``es`` and ``fs`` hold one (B, Lkv)
+    projection per head, stacked inside the op to (h, B, Lkv). Head i reads
+    columns i*d_k:(i+1)*d_k of the query, key and value projections, with
+    d_k = d / h. Its logits are ``q_i @ (E_i k_i)^T * logit_scale``, plus
+    ``mask`` (an optional constant array broadcast against the (b, h, Lq,
+    B) logits); a softmax over the B slots gives its attention weights,
+    which weight ``F_i v_i``. The heads' outputs side by side go through
+    ``wo``. Values are those of the per-head matmul/softmax composition.
+
+    A self site (``x_kv is x_q``) projects Q, K and V with one GEMM against
+    ``[wq|wk|wv]``; a cross site uses ``wq`` and one GEMM against
+    ``[wk|wv]``. All heads run as batched matmuls, and the backward is
+    written out, with the input- and weight-gradient GEMMs of the
+    concatenated projections done once. Returns the (b, Lq, d) output
+    tensor and the (b, h, Lq, B) attention weights as a plain array.
+    """
+    heads = len(es)
+    b, l_q, d = x_q.data.shape
+    l_kv = x_kv.data.shape[1]
+    rank = es[0].data.shape[0] if heads else 0
+    if rank > l_kv:
+        raise ValueError("projected_attention: projection rank %d exceeds "
+                         "sequence length %d" % (rank, l_kv))
+    if (not heads or len(fs) != heads or d % heads
+            or x_kv.data.shape != (b, l_kv, d)
+            or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
+            or any(p.data.shape != (rank, l_kv) for p in list(es) + list(fs))):
+        raise ValueError(
+            "projected_attention: inputs %s, %s, weights %s and %d/%d "
+            "projections %s do not fit (b, L, d), (d, d) and (B, Lkv)"
+            % (x_q.data.shape, x_kv.data.shape, wq.data.shape, len(es),
+               len(fs), es[0].data.shape if heads else None))
+    d_k = d // heads
+    self_site = x_kv is x_q
+    e = np.stack([p.data for p in es])                     # (h, B, Lkv)
+    f = np.stack([p.data for p in fs])
+    xq2 = x_q.data.reshape(-1, d)
+    if self_site:
+        xkv2 = xq2
+        w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        qkv = xq2 @ w_in
+        q2, kv2 = qkv[:, :d], qkv[:, d:]
+    else:
+        xkv2 = x_kv.data.reshape(-1, d)
+        w_in = np.concatenate([wk.data, wv.data], axis=1)
+        q2, kv2 = xq2 @ wq.data, xkv2 @ w_in
+
+    def by_head(m, length):
+        # (b*length, d) -> (b, h, length, d_k)
+        return m.reshape(b, length, heads, d_k).transpose(0, 2, 1, 3)
+
+    q = by_head(q2, l_q)
+    k = by_head(kv2[:, :d], l_kv)
+    v = by_head(kv2[:, d:], l_kv)
+    k_low = np.matmul(e, k)                                # (b, h, B, d_k)
+    v_low = np.matmul(f, v)
+    attn = np.matmul(q, np.swapaxes(k_low, -1, -2))        # (b, h, Lq, B)
+    attn *= logit_scale
+    if mask is not None:
+        attn += mask
+    # row-stable softmax; the row max slice by slice, which is exact and
+    # faster than a reduction over the short last axis
+    top = attn[..., 0].copy()
+    for j in range(1, rank):
+        np.maximum(top, attn[..., j], out=top)
+    attn -= top[..., None]
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx2 = np.matmul(attn, v_low).transpose(0, 2, 1, 3).reshape(-1, d)
+    out = (ctx2 @ wo.data).reshape(b, l_q, d)
+
+    def back(g):
+        g2 = g.reshape(-1, d)
+        if wo.requires_grad:
+            _accum(wo, ctx2.T @ g2)
+        g_ctx = by_head(g2 @ wo.data.T, l_q)
+        g_v_low = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        g_s = np.matmul(g_ctx, np.swapaxes(v_low, -1, -2))
+        dot = (g_s * attn).sum(axis=-1, keepdims=True)
+        g_s -= dot
+        g_s *= attn
+        g_s *= logit_scale                                 # d loss / d logits
+        g_k_low = np.matmul(np.swapaxes(g_s, -1, -2), q)
+        # each projection's gradient sums its head over the batch: one GEMM
+        # per head over the (b, d_k) pairs
+        for ps, g_low, kv in ((es, g_k_low, k), (fs, g_v_low, v)):
+            if any(p.requires_grad for p in ps):
+                g_p = np.matmul(
+                    g_low.transpose(1, 2, 0, 3).reshape(heads, rank, -1),
+                    kv.transpose(1, 0, 3, 2).reshape(heads, -1, l_kv))
+                for p, g_i in zip(ps, g_p):
+                    if p.requires_grad:
+                        _accum(p, g_i)
+        # gradients of the projected q, k, v side by side, head-major as in
+        # the forward's columns
+        n_in = 3 if self_site else 2
+        g_in = np.empty((b, l_kv, n_in, heads, d_k))
+        g_in[:, :, n_in - 2] = np.matmul(np.swapaxes(e, -1, -2),
+                                         g_k_low).transpose(0, 2, 1, 3)
+        g_in[:, :, n_in - 1] = np.matmul(np.swapaxes(f, -1, -2),
+                                         g_v_low).transpose(0, 2, 1, 3)
+        g_q = np.matmul(g_s, k_low).transpose(0, 2, 1, 3)  # (b, Lq, h, d_k)
+        if self_site:
+            g_in[:, :, 0] = g_q
+        else:
+            g_q2 = g_q.reshape(-1, d)
+            if wq.requires_grad:
+                _accum(wq, xq2.T @ g_q2)
+            if x_q.requires_grad:
+                _accum(x_q, (g_q2 @ wq.data.T).reshape(x_q.data.shape))
+        g_in2 = g_in.reshape(-1, n_in * d)
+        w_grads = ([wq] if self_site else []) + [wk, wv]
+        if any(w.requires_grad for w in w_grads):
+            g_w = xkv2.T @ g_in2
+            for i, w in enumerate(w_grads):
+                if w.requires_grad:
+                    _accum(w, g_w[:, i * d:(i + 1) * d])
+        if x_kv.requires_grad:
+            _accum(x_kv, (g_in2 @ w_in.T).reshape(x_kv.data.shape))
+
+    inputs = ((x_q,) if self_site else (x_q, x_kv)) + (wq, wk, wv, wo)
+    return _node(out, inputs + tuple(es) + tuple(fs), back), attn
 
 
 def smooth_l1(a, b, beta):

@@ -9,9 +9,10 @@ immune to the 2*pi wrap-around of a naive angular standard deviation.
 to a whole matrix of dataset rows and serves evaluation and calibration.
 The training loss computes both its sides with
 ``trainer.window_stat_tensors``, the true side on a constant that records
-no graph. It uses the same unit constants, with one deliberate difference:
-it takes sqrt(S^2 + eps) to bound the 1/S gradient at zero spread, where
-evaluation takes sqrt(S^2) and clamps the angular spread to [0, 1].
+no graph (``trainer.train`` does so once per run, for every row). It uses
+the same unit constants, with one deliberate difference: it takes
+sqrt(S^2 + eps) to bound the 1/S gradient at zero spread, where evaluation
+takes sqrt(S^2) and clamps the angular spread to [0, 1].
 
 All evaluation compares pooled sample sets through their empirical CDFs on
 a shared grid; the reported distance is the mean squared pointwise CDF

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adtensor import (Tensor, add, affine, concat, const, layer_norm,
-                       lstm_bidir, matmul, mean_axis, mul, narrow, relu,
-                       repeat, scale, softmax, split, square, sub, tensor,
-                       transpose_last)
+                       lstm_bidir, mean_axis, mul, narrow, projected_attention,
+                       relu, repeat, square, sub, tensor)
 
 NEG_MASK = -1.0e30
 
@@ -70,16 +69,20 @@ class ModelConfig:
 
 
 class AttentionInstrumentation:
-    """Counts stored context-matrix entries across projected attention calls."""
+    """Counts stored context-matrix entries across projected attention calls.
+
+    Each call records one (b, heads, Lq, B) array of attention weights, all
+    heads of one site; ``context_entries`` sums their sizes.
+    """
 
     def __init__(self, keep_matrices=False):
         self.context_entries = 0
         self.matrices = [] if keep_matrices else None
 
     def record(self, attn):
-        self.context_entries += attn.data.size
+        self.context_entries += attn.size
         if self.matrices is not None:
-            self.matrices.append(attn.data)
+            self.matrices.append(attn)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +230,8 @@ def positional_encoding(length, d_model):
 
 
 def _causal_mask(n_rows, n_cols):
-    mask = np.zeros((1, n_rows, n_cols))
-    cols = np.arange(n_cols)[None, :]
-    rows = np.arange(n_rows)[:, None]
-    mask[0][cols > rows] = NEG_MASK
+    mask = np.zeros((n_rows, n_cols))
+    mask[np.arange(n_cols)[None, :] > np.arange(n_rows)[:, None]] = NEG_MASK
     return mask
 
 
@@ -242,33 +243,19 @@ def projected_mha(x_q, x_kv, params, prefix, heads, d_model,
     matrices of this site, so each head's context matrix is (Lq x B). The
     causal mask zeroes logits above the diagonal of the compressed slot
     index; with identity E/F this reduces to ordinary masked attention.
+    The site is one ``projected_attention`` node.
     """
-    l_kv = x_kv.data.shape[1]
-    inv = 1.0 / math.sqrt(d_model)
-    sizes = [d_model // heads] * heads
-    qs = split(matmul(x_q, params[prefix + ".wq"]), -1, sizes)
-    ks = split(matmul(x_kv, params[prefix + ".wk"]), -1, sizes)
-    vs = split(matmul(x_kv, params[prefix + ".wv"]), -1, sizes)
-    mask = None
-    heads_out = []
-    for i, (q, k, v) in enumerate(zip(qs, ks, vs)):
-        proj_e = params["%s.e%d" % (prefix, i)]
-        proj_f = params["%s.f%d" % (prefix, i)]
-        if proj_e.data.shape[0] > l_kv:
-            raise ValueError("projection rank %d exceeds sequence length %d"
-                             % (proj_e.data.shape[0], l_kv))
-        k_low = matmul(proj_e, k)          # (b, B, d_k)
-        v_low = matmul(proj_f, v)
-        logits = scale(matmul(q, transpose_last(k_low)), inv)
-        if causal:
-            if mask is None:
-                mask = const(_causal_mask(x_q.data.shape[1], proj_e.data.shape[0]))
-            logits = add(logits, mask)
-        attn = softmax(logits)             # the stored context matrix
-        if instr is not None:
-            instr.record(attn)
-        heads_out.append(matmul(attn, v_low))
-    return matmul(concat(heads_out, axis=-1), params[prefix + ".wo"])
+    es = [params["%s.e%d" % (prefix, i)] for i in range(heads)]
+    fs = [params["%s.f%d" % (prefix, i)] for i in range(heads)]
+    mask = (_causal_mask(x_q.data.shape[1], es[0].data.shape[0])
+            if causal else None)
+    out, attn = projected_attention(
+        x_q, x_kv, *(params["%s.%s" % (prefix, w)]
+                     for w in ("wq", "wk", "wv", "wo")),
+        es, fs, 1.0 / math.sqrt(d_model), mask)
+    if instr is not None:
+        instr.record(attn)
+    return out
 
 
 def _dropout(t, p, training, rng):

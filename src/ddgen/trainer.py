@@ -267,17 +267,24 @@ def combine_stat_losses(gen_stats, true_stats, weights, beta):
     return loss
 
 
-def stats_loss(true_scaled, gen_window, scaler, weights, beta):
+def true_stat_arrays(true_scaled, scaler):
+    """``window_stat_tensors`` of a scaled window as plain arrays. The
+    window is a constant, so no graph is recorded."""
+    return {k: t.data for k, t in
+            window_stat_tensors(ad.const(true_scaled), scaler).items()}
+
+
+def stats_loss(true, gen_window, scaler, weights, beta):
     """Statistics-aided loss between a true window and a generated tensor.
 
-    True-side statistics run through the same ``window_stat_tensors`` on a
-    constant, which records no graph, so identical windows give exactly
-    zero loss.
+    ``true`` is the scaled true window, or its ``true_stat_arrays``. Both
+    sides run through the same ``window_stat_tensors``, so identical windows
+    give exactly zero loss.
     """
-    gen_stats = window_stat_tensors(gen_window, scaler)
-    true_stats = {k: t.data for k, t in
-                  window_stat_tensors(ad.const(true_scaled), scaler).items()}
-    return combine_stat_losses(gen_stats, true_stats, weights, beta)
+    if not isinstance(true, dict):
+        true = true_stat_arrays(true, scaler)
+    return combine_stat_losses(window_stat_tensors(gen_window, scaler), true,
+                               weights, beta)
 
 
 def predictive_loss(true_scaled, gen_window, beta):
@@ -424,16 +431,29 @@ def load_train_checkpoint(path):
     return params, scaler, opt_arrays, meta
 
 
-def _check_resume(meta, model_cfg, mode, n_paths):
-    """A checkpoint resumes only the run that wrote it: the path count, the
-    loss mode and every model key must match the request."""
-    have = {"n_paths": meta["n_paths"], "mode": meta["settings"]["mode"],
-            **meta["model"]}
-    want = {"n_paths": n_paths, "mode": mode, **model_cfg.to_dict()}
+def _check_resume(meta, model_cfg, cfg, n_paths):
+    """A checkpoint resumes only the run that wrote it: the path count,
+    every model key, and the loss mode and the training rows (``train_frac``
+    and ``stride``) must match the request. A run key is compared when the
+    checkpoint's settings record it."""
+    settings = meta["settings"]
+    have = {"n_paths": meta["n_paths"], **meta["model"]}
+    want = {"n_paths": n_paths, **model_cfg.to_dict()}
+    for key in ("mode", "train_frac", "stride"):
+        if key in settings:
+            have[key], want[key] = settings[key], getattr(cfg, key)
     for key, val in want.items():
         if have.get(key) != val:
             raise ConfigError("cannot resume: checkpoint has %s=%r, this run "
                               "asks for %s=%r" % (key, have.get(key), key, val))
+
+
+def _row_stat_arrays(rows_scaled, scaler, chunk=4096):
+    """``true_stat_arrays`` of every scaled row: spreads (R,), gains (R, N).
+    Computed over blocks of rows, which bounds the temporaries."""
+    parts = [true_stat_arrays(rows_scaled[None, lo:lo + chunk], scaler)
+             for lo in range(0, rows_scaled.shape[0], chunk)]
+    return {k: np.concatenate([p[k][0] for p in parts]) for k in parts[0]}
 
 
 def train(dataset, cfg, checkpoint_path, resume_from=None):
@@ -452,7 +472,7 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     train_rows = np.vstack([dataset.rows[lo:hi] for lo, hi in train_ranges])
     if resume_from is not None:
         params, scaler, opt_arrays, meta = load_train_checkpoint(resume_from)
-        _check_resume(meta, model_cfg, cfg.mode, dataset.n_paths)
+        _check_resume(meta, model_cfg, cfg, dataset.n_paths)
         weights = (LossWeights.from_dict(meta["weights"])
                    if meta["weights"] else None)
         opt = AdamW(params, weight_decay=cfg.weight_decay)
@@ -481,6 +501,10 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     if not starts.size:
         raise ValueError("training split too short for lag=%d window=%d"
                          % (model_cfg.lag, model_cfg.window))
+    if cfg.mode == "gen":
+        # each true-side statistic belongs to one row: computed once here,
+        # gathered per batch
+        row_stats = _row_stat_arrays(rows_scaled, scaler)
     trace = []
     last_good = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -495,8 +519,9 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
                                  dropout_rng=rng)
             try:
                 if cfg.mode == "gen":
-                    loss = stats_loss(targ, out, scaler, weights,
-                                      cfg.beta)
+                    idx = _window_rows(batch, model_cfg.lag, model_cfg.window)
+                    loss = stats_loss({k: v[idx] for k, v in row_stats.items()},
+                                      out, scaler, weights, cfg.beta)
                 else:
                     loss = predictive_loss(targ, out, cfg.beta)
             except NonFiniteStat as exc:

@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddgen import adtensor as ad
 from ddgen import htransformer as ht
@@ -21,19 +23,6 @@ def test_matmul_identity():
     x = ad.tensor(rnd((4, 5), seed=1))
     out = ad.matmul(ad.const(np.eye(4)), x)
     assert np.allclose(out.data, x.data, atol=0, rtol=0)
-
-
-def test_softmax_rows_sum_to_one():
-    x = ad.tensor(rnd((2, 6, 7), seed=2, lo=-30, hi=30))
-    s = ad.softmax(x)
-    assert np.abs(s.data.sum(axis=-1) - 1.0).max() < 1e-12
-
-
-def test_softmax_translation_invariance():
-    x = rnd((5, 9), seed=3)
-    a = ad.softmax(ad.const(x)).data
-    b = ad.softmax(ad.const(x + 123.456)).data
-    assert np.abs(a - b).max() < 1e-12
 
 
 def test_backward_identity_seed():
@@ -154,47 +143,6 @@ def _weighted_sum(parts, seed):
     return total
 
 
-@pytest.mark.parametrize("axis,sizes", [
-    (0, (1, 2)), (1, (2, 1, 1)), (2, (3, 2)), (-1, (1, 1, 3)),
-])
-def test_split_gradients_match_narrow(axis, sizes):
-    x1 = ad.tensor(rnd((3, 4, 5), seed=30))
-    x2 = ad.tensor(x1.data.copy())
-    parts = ad.split(x1, axis, sizes)
-    starts = np.cumsum((0,) + sizes[:-1])
-    ref = [ad.narrow(x2, axis % 3, int(lo), n) for lo, n in zip(starts, sizes)]
-    for p, r in zip(parts, ref):
-        assert np.array_equal(p.data, r.data)
-    # parts reach the output through different paths; one part is unused
-    _weighted_sum(parts[:-1], seed=31).backward()
-    _weighted_sum(ref[:-1], seed=31).backward()
-    assert np.array_equal(x1.grad, x2.grad)
-
-
-def test_split_keeps_accumulation_across_backward_calls():
-    x1 = ad.tensor(rnd((2, 6), seed=32))
-    x2 = ad.tensor(x1.data.copy())
-    for _ in range(2):  # a fresh graph per call
-        ad.sum_all(ad.square(ad.concat(ad.split(x1, 1, (4, 2)), 1))).backward()
-    assert np.allclose(x1.grad, 4.0 * x1.data)
-    # the same graph backed through twice behaves as the narrow composition
-    x1.grad = None
-    out1 = _weighted_sum(ad.split(x1, 1, (1, 3, 2)), seed=33)
-    out2 = _weighted_sum([ad.narrow(x2, 1, 0, 1), ad.narrow(x2, 1, 1, 3),
-                          ad.narrow(x2, 1, 4, 2)], seed=33)
-    for _ in range(2):
-        out1.backward()
-        out2.backward()
-    assert np.array_equal(x1.grad, x2.grad)
-
-
-def test_split_rejects_sizes_that_miss_the_axis():
-    x = ad.tensor(rnd((2, 6)))
-    for sizes in ((4, 1), (4, 3), (), (6, 0)):
-        with pytest.raises(ValueError, match="split"):
-            ad.split(x, 1, sizes)
-
-
 def _lstm_inputs(b, t_len, hid, seed):
     return (ad.tensor(rnd((b, t_len, 4 * hid), seed=seed)),
             ad.tensor(rnd((b, t_len, 4 * hid), seed=seed + 1)),
@@ -287,10 +235,173 @@ def test_layer_norm_gradient():
     assert err < 1e-6
 
 
-def test_softmax_gradient():
-    x = ad.tensor(rnd((3, 6), seed=18))
-    err = ad.grad_check(lambda: ad.sum_all(ad.square(ad.softmax(x))), [x])
-    assert err < 1e-8
+def _layer_norm_reference(a, gamma, beta, eps=1e-5):
+    """``layer_norm`` as first written: ``np.var``, full-size temporaries,
+    and gamma/beta gradients reduced by ``_unbroadcast``."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (a.data - mu) * inv
+
+    def back(g):
+        ad._accum(gamma, ad._unbroadcast(g * xhat, gamma.data.shape))
+        ad._accum(beta, ad._unbroadcast(g, beta.data.shape))
+        gg = g * gamma.data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        ad._accum(a, (gg - m1 - xhat * m2) * inv)
+    return ad._node(xhat * gamma.data + beta.data, (a, gamma, beta), back)
+
+
+@pytest.mark.parametrize("shape,affine_shape", [
+    ((64, 20, 32), (1, 1, 32)), ((3, 5, 7), (1, 1, 7)), ((4, 6), (6,)),
+    ((2, 3, 1), (1, 1, 1)),
+])
+def test_layer_norm_matches_previous_formula(shape, affine_shape):
+    fused_in = (_t(shape, 71, -3, 3), _t(affine_shape, 72, 0.5, 2.0),
+                _t(affine_shape, 73))
+    ref_in = [ad.tensor(t.data.copy()) for t in fused_in]
+    fused = ad.layer_norm(*fused_in)
+    ref = _layer_norm_reference(*ref_in)
+    assert np.array_equal(fused.data, ref.data)
+    seed = rnd(shape, seed=74)
+    fused.backward(seed)
+    ref.backward(seed)
+    for got, want in zip(fused_in, ref_in):
+        assert np.array_equal(got.grad, want.grad)
+    with pytest.raises(ValueError, match="layer_norm"):
+        ad.layer_norm(fused_in[0], _t((1, 1, 2), 75), fused_in[2])
+
+
+# ---------------------------------------------------------------------------
+# projected attention against the per-head composition it fuses
+
+def _transpose_last(a):
+    return ad._node(np.swapaxes(a.data, -1, -2), (a,),
+                    lambda g: ad._accum(a, np.swapaxes(g, -1, -2)))
+
+
+def _softmax(a):
+    """Row-stable softmax over the last axis."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        ad._accum(a, y * (g - dot))
+    return ad._node(y, (a,), back)
+
+
+def _attention_composition(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
+                           mask=None):
+    """The per-head graph ``projected_attention`` fuses: three projections,
+    then per head the E/F compressions, scaled logits, mask, softmax and
+    weighted values, and the heads side by side through ``wo``."""
+    d_k = wq.shape[1] // len(es)
+    q_all, k_all, v_all = (ad.matmul(x_q, wq), ad.matmul(x_kv, wk),
+                           ad.matmul(x_kv, wv))
+    outs = []
+    for i, (e, f) in enumerate(zip(es, fs)):
+        q, k, v = (ad.narrow(t, 2, i * d_k, d_k) for t in (q_all, k_all, v_all))
+        logits = ad.scale(ad.matmul(q, _transpose_last(ad.matmul(e, k))),
+                          logit_scale)
+        if mask is not None:
+            logits = ad.add(logits, ad.const(mask[None]))
+        outs.append(ad.matmul(_softmax(logits), ad.matmul(f, v)))
+    return ad.matmul(ad.concat(outs, axis=-1), wo)
+
+
+def _attention_inputs(b, l_q, l_kv, d_k, heads, rank, seed, cross,
+                      make=ad.tensor):
+    """(x_q, x_kv, [wq, wk, wv, wo], es, fs); x_kv is x_q unless cross."""
+    rng = np.random.default_rng(seed)
+    d = heads * d_k
+    x_q = make(rng.standard_normal((b, l_q, d)))
+    x_kv = make(rng.standard_normal((b, l_kv, d))) if cross else x_q
+    ws = [make(rng.uniform(-1, 1, (d, d))) for _ in range(4)]
+    es = [make(rng.uniform(-1, 1, (rank, l_kv))) for _ in range(heads)]
+    fs = [make(rng.uniform(-1, 1, (rank, l_kv))) for _ in range(heads)]
+    return x_q, x_kv, ws, es, fs
+
+
+def _copied(x_q, x_kv, ws, es, fs):
+    x_q2 = ad.tensor(x_q.data.copy())
+    x_kv2 = x_q2 if x_kv is x_q else ad.tensor(x_kv.data.copy())
+    return (x_q2, x_kv2, *([ad.tensor(t.data.copy()) for t in ts]
+                           for ts in (ws, es, fs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["self", "cross", "causal"]), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.data())
+def test_projected_attention_matches_composition(site, heads, d_k, b, l_kv,
+                                                 data):
+    rank = data.draw(st.integers(1, l_kv), label="rank")
+    l_q = (data.draw(st.integers(1, 6).filter(lambda n: n != l_kv),
+                     label="l_q") if site == "cross" else l_kv)
+    fused_in = _attention_inputs(b, l_q, l_kv, d_k, heads, rank,
+                                 data.draw(st.integers(0, 2**16)),
+                                 cross=site == "cross")
+    ref_in = _copied(*fused_in)
+    mask = ht._causal_mask(l_q, rank) if site == "causal" else None
+    logit_scale = 1.0 / np.sqrt(heads * d_k)
+    x_q, x_kv, ws, es, fs = fused_in
+    fused, attn = ad.projected_attention(x_q, x_kv, *ws, es, fs, logit_scale,
+                                         mask)
+    ref = _attention_composition(ref_in[0], ref_in[1], *ref_in[2],
+                                 ref_in[3], ref_in[4], logit_scale, mask)
+    assert attn.shape == (b, heads, l_q, rank)
+    assert np.abs(fused.data - ref.data).max() <= 1e-12
+    seed = rnd(fused.shape, seed=76)
+    fused.backward(seed)
+    ref.backward(seed)
+
+    def leaves(x_q, x_kv, ws, es, fs):
+        return [x_q] + ([x_kv] if x_kv is not x_q else []) + ws + es + fs
+
+    for got, want in zip(leaves(*fused_in), leaves(*ref_in)):
+        err = np.abs(got.grad - want.grad).max()
+        assert err <= 1e-12 * np.abs(want.grad).max()
+
+
+def test_softmax_rows_sum_to_one():
+    # the softmax inside projected_attention: at logit_scale 1e3 the logits
+    # reach thousands, where an exp without the row max subtracted overflows
+    x_q, x_kv, ws, es, fs = _attention_inputs(2, 6, 7, 2, 3, 5, seed=2,
+                                              cross=True)
+    for logit_scale in (1.0, 1e3):
+        _, attn = ad.projected_attention(x_q, x_kv, *ws, es, fs, logit_scale)
+        assert attn.shape == (2, 3, 6, 5) and np.isfinite(attn).all()
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
+
+
+def test_softmax_translation_invariance():
+    # the softmax inside projected_attention: with E rows summing to one,
+    # moving x_kv by a constant row moves every compressed key of a head by
+    # the same vector, so every logit of a row moves by the same amount,
+    # which the softmax ignores
+    x_q, x_kv, ws, es, fs = _attention_inputs(2, 5, 9, 2, 2, 4, seed=3,
+                                              cross=True, make=ad.const)
+    es = [ad.const(np.abs(e.data) / np.abs(e.data).sum(axis=1, keepdims=True))
+          for e in es]
+    out, base = ad.projected_attention(x_q, x_kv, *ws, es, fs, 1.0)
+    moved = ad.const(x_kv.data + rnd((1, 1, 4), seed=4, lo=-5, hi=5))
+    moved_out, attn = ad.projected_attention(x_q, moved, *ws, es, fs, 1.0)
+    assert np.abs(attn - base).max() < 1e-12
+    assert np.abs(moved_out.data - out.data).max() > 1e-3  # values do move
+
+
+def test_projected_attention_rejects_bad_shapes():
+    x_q, x_kv, ws, es, fs = _attention_inputs(1, 3, 4, 2, 2, 3, seed=5,
+                                              cross=True)
+    with pytest.raises(ValueError, match="rank 3 exceeds sequence length 2"):
+        ad.projected_attention(x_q, ad.narrow(x_kv, 1, 0, 2), *ws, es, fs, 1.0)
+    for bad in ((x_q, x_kv, *ws, es, fs[:1], 1.0),
+                (x_q, x_q, *ws, es, fs, 1.0),
+                (x_q, x_kv, ws[0], ws[1], ws[2], _t((3, 4), 6), es, fs, 1.0)):
+        with pytest.raises(ValueError, match="projected_attention"):
+            ad.projected_attention(*bad)
 
 
 def test_smooth_l1_values_and_junction():
@@ -389,8 +500,10 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 def test_ops_on_constants_record_nothing():
     c1, c2 = ad.const(rnd((2, 3), seed=51)), ad.const(rnd((3, 4), seed=52))
-    for out in (ad.add(c1, c1), ad.matmul(c1, c2), ad.sigmoid(c1),
-                *ad.split(c1, 1, (1, 2)),
+    x_q, x_kv, ws, es, fs = _attention_inputs(1, 2, 3, 1, 2, 2, seed=58,
+                                              cross=True, make=ad.const)
+    attended, _ = ad.projected_attention(x_q, x_kv, *ws, es, fs, 1.0)
+    for out in (ad.add(c1, c1), ad.matmul(c1, c2), ad.sigmoid(c1), attended,
                 ad.lstm_bidir(*(ad.const(t.data) for t in
                                 _lstm_inputs(1, 2, 2, seed=53)))):
         assert not out.requires_grad
@@ -436,6 +549,20 @@ def _smooth_l1_case():
     return _case(ad.smooth_l1, a, b, 1.0)
 
 
+def _attention_case(site):
+    cross = site == "cross"
+    x_q, x_kv, ws, es, fs = _attention_inputs(2, 3, 4 if cross else 3, 2, 2,
+                                              2, seed=63, cross=cross)
+    mask = ht._causal_mask(3, 2) if site == "causal" else None
+
+    def fn():
+        out, _ = ad.projected_attention(x_q, x_kv, *ws, es, fs, 0.5, mask)
+        return _weighted_sum([out], seed=60)
+    return fn, [x_q] + ([x_kv] if cross else []) + ws + es + fs
+
+
+# the attention cases sit at indices 9, 12 and 28, which keeps the test id
+# of every other row stable
 GRAD_CASES = [
     ("add", lambda: _case(ad.add, _t((2, 3, 4), 1), _t((1, 3, 1), 2))),
     ("sub", lambda: _case(ad.sub, _t((2, 3, 4), 3), _t((2, 1, 4), 4))),
@@ -447,11 +574,11 @@ GRAD_CASES = [
     ("matmul", lambda: _case(ad.matmul, _t((2, 3, 4), 13), _t((2, 4, 2), 14))),
     ("affine", lambda: _case(ad.affine, _t((2, 3, 4), 15), _t((4, 5), 16),
                              _t((1, 1, 5), 17))),
-    ("transpose_last", lambda: _case(ad.transpose_last, _t((2, 3, 4), 18))),
+    ("projected_attention", lambda: _attention_case("self")),
     ("concat", lambda: _case(lambda a, b: ad.concat([a, b], axis=1),
                              _t((2, 3, 2), 19), _t((2, 1, 2), 20))),
     ("narrow", lambda: _case(ad.narrow, _t((2, 5, 3), 21), 1, 1, 3)),
-    ("split", lambda: _case(ad.split, _t((2, 3, 5), 22), 1, (1, 2))),
+    ("projected_attention", lambda: _attention_case("cross")),
     ("gather_last", lambda: _case(ad.gather_last, _t((2, 5), 23),
                                   [4, 0, 4, 2])),
     ("repeat", lambda: _case(ad.repeat, _t((2, 1, 3), 24), 4, 1)),
@@ -470,7 +597,7 @@ GRAD_CASES = [
     ("sigmoid", lambda: _case(ad.sigmoid, _t((3, 4), 35))),
     ("relu", lambda: _case(ad.relu, _t((3, 4), 36))),
     ("db_to_linear", lambda: _case(ad.db_to_linear, _t((3, 4), 37, -3, 3))),
-    ("softmax", lambda: _case(ad.softmax, _t((2, 3, 5), 38))),
+    ("projected_attention", lambda: _attention_case("causal")),
     ("layer_norm", lambda: _case(ad.layer_norm, _t((2, 3, 6), 39),
                                  _t((1, 1, 6), 40), _t((1, 1, 6), 41))),
     ("smooth_l1", _smooth_l1_case),

@@ -339,6 +339,8 @@ def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
     ("mode", ["--mode", "gen"]),
     ("d_model", ["--set", "d_model=12"]),
     ("n_paths", None),
+    ("train_frac", ["--set", "train_frac=0.7"]),
+    ("stride", ["--set", "stride=3"]),
 ])
 def test_resume_mismatch_exits_1(tmp_path, dataset_path, capsys, key, change):
     ckpt = str(tmp_path / "pred.bin")

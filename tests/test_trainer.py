@@ -178,6 +178,49 @@ def test_window_stat_tensors_of_constant_record_nothing(small_dataset,
         assert t._parents == () and not t.requires_grad
 
 
+@pytest.mark.parametrize("chunk", [4096, 50])
+def test_row_stats_gathered_equal_window_stats(small_dataset, small_scaler,
+                                               chunk):
+    rows = small_scaler.scale(small_dataset.rows)
+    cached = trainer._row_stat_arrays(rows, small_scaler, chunk=chunk)
+    rng = np.random.default_rng(12)
+    lag, window = 6, 4
+    for _ in range(5):
+        batch = rng.integers(0, rows.shape[0] - lag - window + 1,
+                             size=rng.integers(1, 20))
+        _, targ = trainer.gather_window_arrays(rows, batch, lag, window)
+        idx = trainer._window_rows(batch, lag, window)
+        want = trainer.window_stat_tensors(ad.const(targ), small_scaler)
+        for k, t in want.items():
+            assert np.array_equal(cached[k][idx], t.data), k
+
+
+def test_train_loss_from_cached_stats_equals_stats_loss(tmp_path,
+                                                        monkeypatch):
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
+    cfg = dataclasses.replace(cfg, batch_size=10**4)  # a single step
+    seen = []
+    real_gather, real_loss = trainer.gather_window_arrays, trainer.stats_loss
+
+    def gather(*args):
+        hist, targ = real_gather(*args)
+        seen.append(targ)
+        return hist, targ
+
+    def loss(true, out, scaler, weights, beta):
+        value = real_loss(true, out, scaler, weights, beta)
+        seen.append((true, out, scaler, weights, beta, value.item()))
+        return value
+
+    monkeypatch.setattr(trainer, "gather_window_arrays", gather)
+    monkeypatch.setattr(trainer, "stats_loss", loss)
+    trainer.train(ds, cfg, path)
+    assert len(seen) == 2
+    targ, (true, out, scaler, weights, beta, got) = seen
+    assert isinstance(true, dict)
+    assert real_loss(targ, out, scaler, weights, beta).item() == got
+
+
 def test_history_as_constant_or_tensor_gives_identical_grads(small_dataset,
                                                              small_scaler):
     n = small_dataset.n_paths
