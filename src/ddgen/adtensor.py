@@ -23,6 +23,7 @@ with the offending op name.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -732,22 +733,33 @@ def save_checkpoint(path, tensors, meta=None):
     os.replace(tmp, path)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (ordered dict name -> ndarray, meta dict)."""
+def load_checkpoint(path, skip=()):
+    """Read a checkpoint; returns (ordered dict name -> ndarray, meta dict).
+
+    Tensors whose names start with a prefix in ``skip`` are seeked past, not
+    read; every other tensor is read straight into its own array. A file
+    shorter or longer than its header declares raises ValueError, whatever
+    is skipped.
+    """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != _CKPT_MAGIC:
             raise ValueError("not a checkpoint file: %s" % path)
         header = json.loads(f.readline().decode("utf-8"))
-        arrays = {}
-        for ent in header["tensors"]:
-            shape = tuple(ent["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError("truncated checkpoint: %s" % path)
-            arrays[ent["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-        if f.read(1):
+        entries = [(ent["name"], tuple(ent["shape"]))
+                   for ent in header["tensors"]]
+        size = f.tell() + sum(8 * math.prod(shape) for _, shape in entries)
+        actual = os.fstat(f.fileno()).st_size
+        if actual < size:
+            raise ValueError("truncated checkpoint: %s" % path)
+        if actual > size:
             raise ValueError("trailing bytes after the last tensor in "
                              "checkpoint: %s" % path)
+        arrays = {}
+        for name, shape in entries:
+            if name.startswith(skip):
+                f.seek(8 * math.prod(shape), os.SEEK_CUR)
+                continue
+            arrays[name] = np.empty(shape, dtype=np.float64)
+            f.readinto(arrays[name])
     return arrays, header["meta"]

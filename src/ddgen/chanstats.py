@@ -7,6 +7,9 @@ weighted mean phasor, which is dimensionless and bounded by [0, 1] and
 immune to the 2*pi wrap-around of a naive angular standard deviation.
 ``rms_*`` are the scalar reference; ``row_stats`` applies the same formulas
 to a whole matrix of dataset rows and serves evaluation and calibration.
+It reduces each row on its own, so the true side of an evaluation is
+computed once per distinct row of the evaluated windows and gathered back
+(``trainer.evaluate_model``), however much the windows overlap.
 The training loss computes both its sides with
 ``trainer.window_stat_tensors``, the true side on a constant that records
 no graph (``trainer.train`` does so once per run, for every row). It uses

@@ -152,7 +152,8 @@ def cmd_evaluate(args):
         raise ConfigError("--cdf-grid must be >= 2")
     if args.stride is not None and args.stride < 1:
         raise ConfigError("--stride must be >= 1")
-    params, scaler, _, meta = trainer.load_train_checkpoint(args.checkpoint)
+    params, scaler, _, meta = trainer.load_train_checkpoint(args.checkpoint,
+                                                            optimizer=False)
     model_cfg = ModelConfig.from_dict(meta["model"])
     if args.lag is not None and args.lag != model_cfg.lag:
         raise ConfigError("checkpoint was trained with lag=%d" % model_cfg.lag)
@@ -160,6 +161,9 @@ def cmd_evaluate(args):
         raise ConfigError("checkpoint was trained with window=%d"
                           % model_cfg.window)
     ds = gscm.read_dataset(args.dataset)
+    if ds.n_paths != scaler.n_paths:
+        raise ConfigError("checkpoint was trained on %d paths, the dataset "
+                          "has %d" % (scaler.n_paths, ds.n_paths))
     settings = meta["settings"]
     train_ranges, eval_ranges = trainer.split_ranges(ds,
                                                      settings["train_frac"])
@@ -205,8 +209,7 @@ def cmd_evaluate(args):
                    "gen": fresh_report[name]["gen_values"].tolist()}
             for name in trainer.EVAL_STATS}
     with open(report_path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, sort_keys=True) + "\n")
     cells_path = os.path.join(out_dir, "cells.csv")
     _write_cells_csv(cells_path, cells)
     table_path = os.path.join(out_dir, "table.txt")
@@ -308,14 +311,12 @@ def _write_cdf_files(cdfs, out_dir):
     written = []
     for model, stats in sorted(cdfs.items()):
         for name, cdf in sorted(stats.items()):
-            grid = np.asarray(cdf["grid"])
             for which in ("true", "gen"):
                 path = os.path.join(out_dir,
                                     "%s_%s_%s.csv" % (name, model, which))
-                vals = np.asarray(cdf[which])
                 with open(path, "w") as f:
-                    for g, v in zip(grid, vals):
-                        f.write("%.17g %.17g\n" % (g, v))
+                    f.write("".join("%.17g %.17g\n" % gv
+                                    for gv in zip(cdf["grid"], cdf[which])))
                 written.append(path)
     return written
 
@@ -384,7 +385,8 @@ def cmd_reference(args):
 
 
 def cmd_summary(args):
-    params, _, _, meta = trainer.load_train_checkpoint(args.checkpoint)
+    params, _, _, meta = trainer.load_train_checkpoint(args.checkpoint,
+                                                       optimizer=False)
     cfg = ModelConfig.from_dict(meta["model"])
     print(model_summary(cfg, params))
     return 0

@@ -315,20 +315,6 @@ class AdamW:
         for t in self.params.values():
             t.grad = None
 
-    def clip_grad_norm(self, max_norm):
-        """Rescale all gradients so their global L2 norm is at most max_norm."""
-        total = 0.0
-        for t in self.params.values():
-            if t.grad is not None:
-                total += float(np.sum(t.grad * t.grad))
-        norm = math.sqrt(total)
-        if norm > max_norm > 0:
-            factor = max_norm / norm
-            for t in self.params.values():
-                if t.grad is not None:
-                    t.grad = t.grad * factor
-        return norm
-
     def step(self, lr):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -412,9 +398,15 @@ def save_train_checkpoint(path, params, scaler, opt, model_cfg, cfg,
     ad.save_checkpoint(path, _checkpoint_tensors(params, scaler, opt), meta)
 
 
-def load_train_checkpoint(path):
-    """Returns (params dict of Tensors, ScalerSpec, opt arrays, meta)."""
-    arrays, meta = ad.load_checkpoint(path)
+def load_train_checkpoint(path, optimizer=True):
+    """Returns (params dict of Tensors, ScalerSpec, opt arrays, meta).
+
+    With ``optimizer=False`` the AdamW moments are skipped, not read, and
+    the opt arrays dict is empty: a run that only evaluates the model needs
+    the parameters and the scaler alone.
+    """
+    arrays, meta = ad.load_checkpoint(path,
+                                      skip=() if optimizer else ("opt.",))
     params = {}
     opt_arrays = {}
     scaler_fields = {}
@@ -424,7 +416,8 @@ def load_train_checkpoint(path):
         elif name.startswith("scaler."):
             scaler_fields[name.split(".", 1)[1]] = arr
         else:
-            params[name] = ad.tensor(arr)
+            # the reader's arrays are fresh: wrapped without another copy
+            params[name] = ad.Tensor(arr, requires_grad=True)
     scaler = ScalerSpec(mins=scaler_fields["mins"], maxs=scaler_fields["maxs"],
                         fixed_mask=scaler_fields["fixed"].astype(bool),
                         n_paths=int(meta["n_paths"]))
@@ -585,7 +578,10 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
 
     Returns (true_pools, gen_pools): per-statistic sample arrays pooled over
     every evaluated window and step. Ranges too short for one window are
-    skipped with a warning.
+    skipped with a warning. The forward runs on constants, so it records no
+    graph. Overlapping windows share target rows: the true-side statistics
+    are computed once per distinct row and gathered back, which gives the
+    same pools, since ``chanstats.row_stats`` reduces each row on its own.
     """
     usable = []
     for rng_pair in ranges:
@@ -595,22 +591,28 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
                           % (lo, hi))
             continue
         usable.append(rng_pair)
-    starts = make_windows(usable, model_cfg.lag, model_cfg.window, stride)
+    lag, window = model_cfg.lag, model_cfg.window
+    starts = make_windows(usable, lag, window, stride)
     if not starts.size:
         raise ValueError("no evaluable windows in the given ranges")
     rows_scaled = scaler.scale(dataset.rows)
     n_feat = dataset.rows.shape[1]
-    gen_rows = []
-    for batch in window_batches(starts, batch_size):
-        hist, _ = gather_window_arrays(rows_scaled, batch, model_cfg.lag,
-                                       model_cfg.window)
-        out = hybrid_forward(hist, model_cfg, params, training=False)
-        gen_rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
-    true_rows = dataset.rows[_window_rows(starts, model_cfg.lag,
-                                          model_cfg.window)]
-    true_pool = collect_window_stats(true_rows.reshape(-1, n_feat),
-                                     dataset.n_paths)
-    gen_pool = collect_window_stats(np.vstack(gen_rows), dataset.n_paths)
+    consts = {name: ad.const(t.data) for name, t in params.items()}
+    gen_rows = np.empty((len(starts) * window, n_feat))
+    for lo in range(0, len(starts), batch_size):
+        batch = starts[lo:lo + batch_size]
+        hist, _ = gather_window_arrays(rows_scaled, batch, lag, window)
+        out = hybrid_forward(hist, model_cfg, consts, training=False)
+        gen_rows[lo * window:(lo + len(batch)) * window] = \
+            scaler.unscale(out.data).reshape(-1, n_feat)
+    distinct, inverse = np.unique(_window_rows(starts, lag, window).ravel(),
+                                  return_inverse=True)
+    per_row = collect_window_stats(dataset.rows[distinct], dataset.n_paths)
+    true_pool = {name: per_row[name][inverse]
+                 for name in chanstats.STAT_NAMES}
+    true_pool["mpc_power"] = per_row["mpc_power"].reshape(
+        len(distinct), dataset.n_paths)[inverse].ravel()
+    gen_pool = collect_window_stats(gen_rows, dataset.n_paths)
     return true_pool, gen_pool
 
 

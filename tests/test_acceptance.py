@@ -10,6 +10,7 @@ points only and are not reproduced here.
 import cmath
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -352,7 +353,18 @@ def test_criterion_9_determinism(tmp_path):
     assert cli.main(train_args + ["--out", c2]) == 0
     trace_same = open(c1 + ".trace.txt", "rb").read() == \
         open(c2 + ".trace.txt", "rb").read()
-    _report("criterion 9 determinism", ds_same and twin_same and trace_same,
+
+    evals = []
+    for ckpt in (c1, c1, c2):
+        out = str(tmp_path / ("eval%d" % len(evals)))
+        assert cli.main(["evaluate", "--checkpoint", ckpt, "--dataset", a,
+                         "--out", out]) == 0
+        evals.append([open(os.path.join(out, name), "rb").read()
+                      for name in ("report.json", "cells.csv")])
+    eval_same = evals[0] == evals[1] == evals[2]
+    _report("criterion 9 determinism",
+            ds_same and twin_same and trace_same and eval_same,
             "dataset bytes identical: %s; twin bytes and digests identical: "
-            "%s; loss trace bytes identical: %s"
-            % (ds_same, twin_same, trace_same))
+            "%s; loss trace bytes identical: %s; evaluate report and cells "
+            "bytes identical (c1 twice, c2 once): %s"
+            % (ds_same, twin_same, trace_same, eval_same))

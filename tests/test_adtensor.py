@@ -495,6 +495,46 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         ad.load_checkpoint(path)
 
 
+def _checkpoint_with_moments(path):
+    """A checkpoint laid out as training writes one: parameters, then the
+    optimizer moments last."""
+    ad.save_checkpoint(path, {"w": rnd((3, 4), seed=50),
+                              "s": np.asarray(1.5),
+                              "opt.m.w": rnd((3, 4), seed=51),
+                              "opt.v.w": rnd((3, 4), seed=52)}, {"k": 2})
+
+
+def test_checkpoint_skip_reads_only_the_kept_tensors(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    _checkpoint_with_moments(path)
+    full, meta = ad.load_checkpoint(path)
+    kept, kept_meta = ad.load_checkpoint(path, skip=("opt.",))
+    assert list(kept) == ["w", "s"] and kept_meta == meta
+    for k in kept:
+        assert kept[k].shape == full[k].shape
+        assert kept[k].tobytes() == full[k].tobytes()
+        assert kept[k].flags.writeable and kept[k].flags.owndata
+
+
+@pytest.mark.parametrize("skip", [(), ("opt.",)])
+def test_checkpoint_truncated_inside_a_skipped_tensor(tmp_path, skip):
+    path = str(tmp_path / "ck.bin")
+    _checkpoint_with_moments(path)
+    with open(path, "r+b") as f:
+        f.truncate(f.seek(0, 2) - 8)  # the cut falls inside opt.v.w
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        ad.load_checkpoint(path, skip=skip)
+
+
+def test_checkpoint_skip_still_rejects_trailing_bytes(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    _checkpoint_with_moments(path)
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        ad.load_checkpoint(path, skip=("opt.",))
+
+
 # ---------------------------------------------------------------------------
 # the constant rule
 

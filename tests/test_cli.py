@@ -152,6 +152,46 @@ def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path):
     assert manifest["inputs"]["dataset_sha256"] == _sha256(dataset_path)
 
 
+def test_evaluate_output_bytes(tmp_path, dataset_path, checkpoint_path):
+    out_dir = str(tmp_path / "eval")
+    assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
+                     "--dataset", dataset_path, "--out", out_dir,
+                     "--stride", "1", "--cdf-grid", "40",
+                     "--with-untrained"]) == 0
+    with open(os.path.join(out_dir, "report.json")) as f:
+        text = f.read()
+    payload = json.loads(text)
+    # the pure-Python encoder writes the same bytes as the C one
+    pure = "".join(json.JSONEncoder(sort_keys=True).iterencode(payload))
+    assert text == pure + "\n"
+    written = 0
+    for model, stats in payload["cdfs"].items():
+        for name, cdf in stats.items():
+            grid = np.asarray(cdf["grid"])
+            for which in ("true", "gen"):
+                path = os.path.join(out_dir,
+                                    "%s_%s_%s.csv" % (name, model, which))
+                want = "".join("%.17g %.17g\n" % (g, v) for g, v in
+                               zip(grid, np.asarray(cdf[which])))
+                with open(path) as f:
+                    assert f.read() == want, path
+                written += 1
+    assert written == 2 * 2 * len(trainer.EVAL_STATS)
+
+
+def test_evaluate_rejects_other_path_count(tmp_path, checkpoint_path,
+                                           capsys):
+    three = str(tmp_path / "three.txt")
+    assert cli.main(gen_args(three) + ["--set", "n_scatterers=3"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--checkpoint", checkpoint_path,
+                   "--dataset", three, "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "2 paths" in err and "has 3" in err
+    assert not os.path.exists(tmp_path / "ev")
+
+
 @pytest.mark.parametrize("flags,want", [
     (["--cdf-grid", "1"], "--cdf-grid"),
     (["--stride", "0"], "--stride"),

@@ -389,15 +389,6 @@ def test_adamw_in_place_step_matches_formula():
             assert np.array_equal(opt.v[k], v[k])
 
 
-def test_grad_clip_norm():
-    params = {"w": ad.tensor(np.zeros(4))}
-    opt = trainer.AdamW(params)
-    params["w"].grad = np.array([3.0, 0.0, 4.0, 0.0])
-    norm = opt.clip_grad_norm(1.0)
-    assert norm == pytest.approx(5.0)
-    assert np.linalg.norm(params["w"].grad) == pytest.approx(1.0)
-
-
 def test_learning_rate_schedule():
     assert trainer.learning_rate(5e-5, 0) == pytest.approx(5e-5)
     assert trainer.learning_rate(5e-5, 9) == pytest.approx(5e-5)
@@ -496,22 +487,74 @@ def test_cdf_report_floor_on_identical_pools(small_dataset):
         assert report[name]["cdf_mse_db"] == -120.0
 
 
-def test_evaluate_model_runs_and_pools(tmp_path):
-    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
-    res = trainer.train(ds, cfg, path)
-    _, eval_ranges = trainer.split_ranges(ds, cfg.train_frac)
-    true_p, gen_p = trainer.evaluate_model(ds, cfg.model_config(), res.params,
-                                           res.scaler, eval_ranges, stride=2)
-    starts = trainer.make_windows(eval_ranges, cfg.lag, cfg.window, 2)
-    n_windows = len(starts)
-    assert len(true_p["delay_spread"]) == n_windows * cfg.window
-    want = trainer.collect_window_stats(
-        np.vstack([ds.rows[s + cfg.lag:s + cfg.lag + cfg.window]
-                   for s in starts]), ds.n_paths)
-    for name in want:
-        assert np.array_equal(true_p[name], want[name]), name
-    assert len(gen_p["delay_spread"]) == n_windows * cfg.window
-    assert len(gen_p["mpc_power"]) == n_windows * cfg.window * ds.n_paths
+@pytest.fixture(scope="module")
+def trained_tiny(tmp_path_factory):
+    ds, cfg, path = _tiny_training_setup(tmp_path_factory.mktemp("tiny"),
+                                         epochs=1)
+    return ds, cfg, trainer.train(ds, cfg, path)
+
+
+def _tape_forward_rows(ds, model_cfg, params, scaler, starts, batch_size):
+    """Unscaled generated rows from the forward on the parameter tensors
+    themselves, one array per batch stacked at the end."""
+    rows_scaled = scaler.scale(ds.rows)
+    parts = []
+    for lo in range(0, len(starts), batch_size):
+        hist, _ = trainer.gather_window_arrays(
+            rows_scaled, starts[lo:lo + batch_size], model_cfg.lag,
+            model_cfg.window)
+        out = ht.hybrid_forward(hist, model_cfg, params, training=False)
+        parts.append(scaler.unscale(out.data).reshape(-1, ds.rows.shape[1]))
+    return np.vstack(parts)
+
+
+def test_evaluate_model_runs_and_pools(trained_tiny):
+    ds, cfg, res = trained_tiny
+    model_cfg = cfg.model_config()
+    _, split_eval = trainer.split_ranges(ds, cfg.train_frac)
+    # batches of 16 leave a partial last batch at every stride here
+    for ranges in (split_eval, [(0, 40), (60, 120)]):
+        for stride in (1, 2, 3):
+            case = "ranges %s stride %d" % (ranges, stride)
+            true_p, gen_p = trainer.evaluate_model(
+                ds, model_cfg, res.params, res.scaler, ranges, stride=stride,
+                batch_size=16)
+            starts = trainer.make_windows(ranges, cfg.lag, cfg.window, stride)
+            n_windows = len(starts)
+            assert len(true_p["delay_spread"]) == n_windows * cfg.window
+            want = trainer.collect_window_stats(
+                np.vstack([ds.rows[s + cfg.lag:s + cfg.lag + cfg.window]
+                           for s in starts]), ds.n_paths)
+            assert set(true_p) == set(want) == set(trainer.EVAL_STATS)
+            for name in want:
+                assert np.array_equal(true_p[name], want[name]), (case, name)
+            want = trainer.collect_window_stats(
+                _tape_forward_rows(ds, model_cfg, res.params, res.scaler,
+                                   starts, 16), ds.n_paths)
+            assert set(gen_p) == set(want)
+            for name in want:
+                assert np.array_equal(gen_p[name], want[name]), (case, name)
+            assert len(gen_p["mpc_power"]) == (n_windows * cfg.window
+                                               * ds.n_paths)
+
+
+def test_evaluate_model_records_no_graph(trained_tiny, monkeypatch):
+    ds, cfg, res = trained_tiny
+    outputs = []
+
+    def forward(*args, **kwargs):
+        outputs.append(real_forward(*args, **kwargs))
+        return outputs[-1]
+
+    real_forward = trainer.hybrid_forward
+    monkeypatch.setattr(trainer, "hybrid_forward", forward)
+    trainer.evaluate_model(ds, cfg.model_config(), res.params, res.scaler,
+                           [(60, 120)], stride=1, batch_size=16)
+    assert len(outputs) == 4
+    for out in outputs:
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+    assert all(t.requires_grad for t in res.params.values())
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -569,3 +612,12 @@ def test_checkpoint_roundtrip_through_trainer(tmp_path):
     assert meta["settings"]["mode"] == "gen"
     assert meta["weights"]["alpha_tau"] == res.weights.alpha_tau
     assert any(k.startswith("opt.m.") for k in opt_arrays)
+    only, only_scaler, no_opt, only_meta = trainer.load_train_checkpoint(
+        path, optimizer=False)
+    assert no_opt == {} and only_meta == meta
+    assert list(only) == list(params)
+    for k in params:
+        assert np.array_equal(only[k].data, params[k].data)
+        assert only[k].requires_grad
+    assert np.array_equal(only_scaler.maxs, scaler.maxs)
+    assert np.array_equal(only_scaler.fixed_mask, scaler.fixed_mask)
