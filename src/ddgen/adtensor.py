@@ -48,10 +48,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -204,41 +200,13 @@ def shift(a, c):
 
 
 # ---------------------------------------------------------------------------
-# matmul and structure ops
-
-def matmul(a, b):
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ValueError("matmul: inner dims %s @ %s" % (a.data.shape, b.data.shape))
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        # stacked batch times a plain weight matrix: run one flat GEMM
-        lead = a.data.shape[:-1]
-        n, k = b.data.shape
-        a2 = a.data.reshape(-1, n)
-
-        def back(g):
-            g2 = g.reshape(-1, k)
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-        return _node((a2 @ b.data).reshape(lead + (k,)), (a, b), back)
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                   a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                   b.data.shape))
-    return _node(np.matmul(a.data, b.data), (a, b), back)
-
+# projection and structure ops
 
 def affine(x, w, b):
     """``x @ w + b`` as one node, for a (..., n) input and an (n, k) weight.
 
     The leading axes of ``x`` are flattened into one GEMM and the bias
-    broadcasts as in ``add``; values and gradients are bit-identical to
-    ``add(matmul(x, w), b)``.
+    broadcasts as in ``add``.
     """
     if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError("affine: inner dims %s @ %s"
@@ -321,6 +289,8 @@ def repeat(a, times, axis):
 # reductions
 
 def sum_all(a):
+    """The sum of every entry, as a 0-d tensor. No command runs it: it stays
+    as the scalar reduction the gradient checks close their graphs with."""
     return _node(np.asarray(a.data.sum()), (a,), lambda g: _accum(
         a, np.broadcast_to(g, a.data.shape).copy()))
 
@@ -352,11 +322,6 @@ def mean_axis(a, axis, keepdims=True):
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 
-def exp(a):
-    y = np.exp(a.data)
-    return _node(y, (a,), lambda g: _accum(a, g * y))
-
-
 def sqrt(a):
     y = np.sqrt(a.data)
     return _node(y, (a,), lambda g: _accum(a, g * 0.5 / y))
@@ -372,16 +337,6 @@ def sin(a):
 
 def cos(a):
     return _node(np.cos(a.data), (a,), lambda g: _accum(a, -g * np.sin(a.data)))
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-    return _node(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
-
-
-def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
 
 def relu(a):

@@ -5,11 +5,11 @@ weighted standard deviation of the path delays, and the angular spread is
 the unit-circle spread sqrt(sum_n w_n |e^{j a_n} - mu|^2) with mu the
 weighted mean phasor, which is dimensionless and bounded by [0, 1] and
 immune to the 2*pi wrap-around of a naive angular standard deviation.
-``rms_*`` are the scalar reference; ``row_stats`` applies the same formulas
-to a whole matrix of dataset rows and serves evaluation and calibration.
-It reduces each row on its own, so the true side of an evaluation is
-computed once per distinct row of the evaluated windows and gathered back
-(``trainer.evaluate_model``), however much the windows overlap.
+``row_stats`` applies these formulas to a whole matrix of dataset rows and
+serves evaluation and calibration. It reduces each row on its own, so the
+true side of an evaluation is computed once per distinct row of the
+evaluated windows and gathered back (``trainer.evaluate_model``), however
+much the windows overlap and however many models are scored against it.
 The training loss computes both its sides with
 ``trainer.window_stat_tensors``, the true side on a constant that records
 no graph (``trainer.train`` does so once per run, for every row). It uses
@@ -37,33 +37,6 @@ CDF_GRID_SIZE = 512
 # dataset file units (ns, degrees) to the SI units of every statistic
 NS_TO_S = 1e-9
 DEG_TO_RAD = math.pi / 180.0
-
-
-def _weights(powers_linear):
-    p = np.asarray(powers_linear, dtype=np.float64)
-    if p.size == 0 or not np.any(p > 0):
-        raise ValueError("need at least one strictly positive power")
-    if np.any(p < 0):
-        raise ValueError("powers must be nonnegative")
-    return p / p.sum()
-
-
-def rms_delay_spread(powers_linear, delays):
-    """Power-weighted RMS spread of the path delays, in the delay unit."""
-    w = _weights(powers_linear)
-    tau = np.asarray(delays, dtype=np.float64)
-    mean = float(np.dot(w, tau))
-    return math.sqrt(float(np.dot(w, (tau - mean) ** 2)))
-
-
-def rms_angular_spread(powers_linear, angles):
-    """Unit-circle power-weighted angular spread, dimensionless in [0, 1]."""
-    w = _weights(powers_linear)
-    ang = np.asarray(angles, dtype=np.float64)
-    phasor = np.exp(1j * ang)
-    mu = np.dot(w, phasor)
-    val = float(np.dot(w, np.abs(phasor - mu) ** 2))
-    return math.sqrt(min(max(val, 0.0), 1.0))
 
 
 def row_stats(rows, n_paths):

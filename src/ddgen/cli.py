@@ -168,27 +168,23 @@ def cmd_evaluate(args):
     train_ranges, eval_ranges = trainer.split_ranges(ds,
                                                      settings["train_frac"])
     stride = settings["stride"] if args.stride is None else args.stride
-    grid_size = args.cdf_grid
-    true_pools, gen_pools = trainer.evaluate_model(
-        ds, model_cfg, params, scaler, eval_ranges, stride=stride)
-    report = trainer.cdf_distance_report(true_pools, gen_pools, grid_size)
-    label = "gen" if settings["mode"] == "gen" else "pred"
-    cells = _eval_pools_to_cells(report, label, model_cfg.lag,
-                                 model_cfg.window, ds.delta2d)
-
+    models = {"gen" if settings["mode"] == "gen" else "pred": params}
     if args.with_untrained:
         ss = np.random.SeedSequence(settings["seed"])
         init_seed = int(ss.generate_state(2, dtype=np.uint64)[0])
-        fresh = init_params(model_cfg, seed=init_seed)
-        _, fresh_pools = trainer.evaluate_model(
-            ds, model_cfg, fresh, scaler, eval_ranges, stride=stride)
-        fresh_report = trainer.cdf_distance_report(true_pools, fresh_pools,
-                                                   grid_size)
-        cells += _eval_pools_to_cells(fresh_report, "untrained",
-                                      model_cfg.lag, model_cfg.window,
-                                      ds.delta2d)
-    else:
-        fresh_report = None
+        models["untrained"] = init_params(model_cfg, seed=init_seed)
+    true_pools, gen_pools = trainer.evaluate_model(
+        ds, model_cfg, models, scaler, eval_ranges, stride=stride)
+    cells, cdfs = [], {}
+    for label, pools in gen_pools.items():
+        report = trainer.cdf_distance_report(true_pools, pools, args.cdf_grid)
+        cells += _eval_pools_to_cells(report, label, model_cfg.lag,
+                                      model_cfg.window, ds.delta2d)
+        cdfs[label] = {
+            name: {"grid": report[name]["grid"].tolist(),
+                   "true": report[name]["true_values"].tolist(),
+                   "gen": report[name]["gen_values"].tolist()}
+            for name in trainer.EVAL_STATS}
 
     out_dir = _out_path(args.out)
     os.makedirs(out_dir, exist_ok=True)
@@ -196,18 +192,8 @@ def cmd_evaluate(args):
     payload = {
         "cells": cells,
         "row_ranges": {"train": train_ranges, "eval": eval_ranges},
-        "cdfs": {label: {
-            name: {"grid": report[name]["grid"].tolist(),
-                   "true": report[name]["true_values"].tolist(),
-                   "gen": report[name]["gen_values"].tolist()}
-            for name in trainer.EVAL_STATS}},
+        "cdfs": cdfs,
     }
-    if fresh_report is not None:
-        payload["cdfs"]["untrained"] = {
-            name: {"grid": fresh_report[name]["grid"].tolist(),
-                   "true": fresh_report[name]["true_values"].tolist(),
-                   "gen": fresh_report[name]["gen_values"].tolist()}
-            for name in trainer.EVAL_STATS}
     with open(report_path, "w") as f:
         f.write(json.dumps(payload, sort_keys=True) + "\n")
     cells_path = os.path.join(out_dir, "cells.csv")
@@ -215,7 +201,7 @@ def cmd_evaluate(args):
     table_path = os.path.join(out_dir, "table.txt")
     with open(table_path, "w") as f:
         f.write(format_table(cells))
-    _write_cdf_files(payload["cdfs"], out_dir)
+    _write_cdf_files(cdfs, out_dir)
     _write_manifest(report_path, "evaluate", meta["settings"],
                     {"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "dataset_sha256": ds.sha256},

@@ -68,23 +68,6 @@ class ModelConfig:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__}).validate()
 
 
-class AttentionInstrumentation:
-    """Counts stored context-matrix entries across projected attention calls.
-
-    Each call records one (b, heads, Lq, B) array of attention weights, all
-    heads of one site; ``context_entries`` sums their sizes.
-    """
-
-    def __init__(self, keep_matrices=False):
-        self.context_entries = 0
-        self.matrices = [] if keep_matrices else None
-
-    def record(self, attn):
-        self.context_entries += attn.size
-        if self.matrices is not None:
-            self.matrices.append(attn)
-
-
 # ---------------------------------------------------------------------------
 # parameter construction
 
@@ -235,8 +218,7 @@ def _causal_mask(n_rows, n_cols):
     return mask
 
 
-def projected_mha(x_q, x_kv, params, prefix, heads, d_model,
-                  causal=False, instr=None):
+def projected_mha(x_q, x_kv, params, prefix, heads, d_model, causal=False):
     """Multi-head attention with rank-B compressed keys and values.
 
     Keys/values are projected along the sequence axis by the learned E/F
@@ -249,12 +231,10 @@ def projected_mha(x_q, x_kv, params, prefix, heads, d_model,
     fs = [params["%s.f%d" % (prefix, i)] for i in range(heads)]
     mask = (_causal_mask(x_q.data.shape[1], es[0].data.shape[0])
             if causal else None)
-    out, attn = projected_attention(
+    out, _ = projected_attention(
         x_q, x_kv, *(params["%s.%s" % (prefix, w)]
                      for w in ("wq", "wk", "wv", "wo")),
         es, fs, 1.0 / math.sqrt(d_model), mask)
-    if instr is not None:
-        instr.record(attn)
     return out
 
 
@@ -274,9 +254,8 @@ def _ffn(x, params, prefix):
                    prefix + ".ffn2")
 
 
-def _encoder_layer(x, params, prefix, cfg, training, rng, instr):
-    a = projected_mha(x, x, params, prefix + ".attn", cfg.heads, cfg.d_model,
-                      instr=instr)
+def _encoder_layer(x, params, prefix, cfg, training, rng):
+    a = projected_mha(x, x, params, prefix + ".attn", cfg.heads, cfg.d_model)
     x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
                    params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
     f = _ffn(x, params, prefix)
@@ -284,13 +263,13 @@ def _encoder_layer(x, params, prefix, cfg, training, rng, instr):
                       params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
 
 
-def _decoder_layer(x, memory, params, prefix, cfg, training, rng, instr):
+def _decoder_layer(x, memory, params, prefix, cfg, training, rng):
     a = projected_mha(x, x, params, prefix + ".self", cfg.heads, cfg.d_model,
-                      causal=True, instr=instr)
+                      causal=True)
     x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
                    params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
     c = projected_mha(x, memory, params, prefix + ".cross", cfg.heads,
-                      cfg.d_model, instr=instr)
+                      cfg.d_model)
     x = layer_norm(add(x, _dropout(c, cfg.dropout, training, rng)),
                    params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     f = _ffn(x, params, prefix)
@@ -326,8 +305,7 @@ def _as_batch(history):
     return const(arr)
 
 
-def hybrid_forward(history, cfg, params, training=False, dropout_rng=None,
-                   instr=None):
+def hybrid_forward(history, cfg, params, training=False, dropout_rng=None):
     """Generate the P-step feature sequence from an L-step scaled history.
 
     Returns a (batch, P, feature_dim) tensor; 2-D input is treated as a
@@ -342,13 +320,13 @@ def hybrid_forward(history, cfg, params, training=False, dropout_rng=None,
     enc = add(enc, const(positional_encoding(cfg.lag, cfg.d_model)))
     for i in range(cfg.enc_layers):
         enc = _encoder_layer(enc, params, "enc.%d" % i, cfg, training,
-                             dropout_rng, instr)
+                             dropout_rng)
     dec_in = sdb_decode(x, cfg.window)
     dec = _linear(dec_in, params, "dec.proj")
     dec = add(dec, const(positional_encoding(cfg.window, cfg.d_model)))
     for i in range(cfg.dec_layers):
         dec = _decoder_layer(dec, enc, params, "dec.%d" % i, cfg, training,
-                             dropout_rng, instr)
+                             dropout_rng)
     lstm = bilstm_forward(dec_in, params, "lstm", cfg.bilstm_hidden,
                           cfg.bilstm_layers)
     agg = add(dec, _linear(lstm, params, "lstm.proj"))

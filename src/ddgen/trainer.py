@@ -572,16 +572,19 @@ def collect_window_stats(rows, n_paths):
     return pools
 
 
-def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
+def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
                    batch_size=64):
-    """Generate windows over the eval ranges and pool statistics.
+    """Generate windows over the eval ranges with every model and pool
+    statistics.
 
-    Returns (true_pools, gen_pools): per-statistic sample arrays pooled over
-    every evaluated window and step. Ranges too short for one window are
-    skipped with a warning. The forward runs on constants, so it records no
-    graph. Overlapping windows share target rows: the true-side statistics
-    are computed once per distinct row and gathered back, which gives the
-    same pools, since ``chanstats.row_stats`` reduces each row on its own.
+    ``models`` maps a label to a parameter dict. Returns (true_pool,
+    gen_pools): per-statistic sample arrays pooled over every evaluated
+    window and step, the true side once and ``gen_pools`` by label. Ranges
+    too short for one window are skipped with a warning. The forward runs on
+    constants, so it records no graph. Overlapping windows share target
+    rows: the true-side statistics are computed once per distinct row and
+    gathered back, which gives the same pools, since ``chanstats.row_stats``
+    reduces each row on its own.
     """
     usable = []
     for rng_pair in ranges:
@@ -597,14 +600,17 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
         raise ValueError("no evaluable windows in the given ranges")
     rows_scaled = scaler.scale(dataset.rows)
     n_feat = dataset.rows.shape[1]
-    consts = {name: ad.const(t.data) for name, t in params.items()}
-    gen_rows = np.empty((len(starts) * window, n_feat))
+    consts = {label: {name: ad.const(t.data) for name, t in params.items()}
+              for label, params in models.items()}
+    gen_rows = {label: np.empty((len(starts) * window, n_feat))
+                for label in models}
     for lo in range(0, len(starts), batch_size):
         batch = starts[lo:lo + batch_size]
         hist, _ = gather_window_arrays(rows_scaled, batch, lag, window)
-        out = hybrid_forward(hist, model_cfg, consts, training=False)
-        gen_rows[lo * window:(lo + len(batch)) * window] = \
-            scaler.unscale(out.data).reshape(-1, n_feat)
+        for label, params in consts.items():
+            out = hybrid_forward(hist, model_cfg, params, training=False)
+            gen_rows[label][lo * window:(lo + len(batch)) * window] = \
+                scaler.unscale(out.data).reshape(-1, n_feat)
     distinct, inverse = np.unique(_window_rows(starts, lag, window).ravel(),
                                   return_inverse=True)
     per_row = collect_window_stats(dataset.rows[distinct], dataset.n_paths)
@@ -612,11 +618,12 @@ def evaluate_model(dataset, model_cfg, params, scaler, ranges, stride=1,
                  for name in chanstats.STAT_NAMES}
     true_pool["mpc_power"] = per_row["mpc_power"].reshape(
         len(distinct), dataset.n_paths)[inverse].ravel()
-    gen_pool = collect_window_stats(gen_rows, dataset.n_paths)
-    return true_pool, gen_pool
+    return true_pool, {label: collect_window_stats(rows, dataset.n_paths)
+                       for label, rows in gen_rows.items()}
 
 
-def cdf_distance_report(true_pools, gen_pools, grid_size=512,
+def cdf_distance_report(true_pools, gen_pools,
+                        grid_size=chanstats.CDF_GRID_SIZE,
                         floor_db=chanstats.CDF_FLOOR_DB):
     """Per-statistic CDF MSE (dB) plus the shared-grid CDFs themselves."""
     report = {}

@@ -1,7 +1,11 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from ddgen import gscm, trainer
+from ddgen import chanstats, gscm, trainer
+from ddgen import htransformer as ht
 from ddgen.config import RunConfig
 
 
@@ -33,6 +37,56 @@ def random_feature_rows(n_rows, n_paths, seed=0):
                  gscm.zn_doa_cols):
         rows[:, cols(n_paths)] = rng.uniform(-180, 180, (n_rows, n_paths))
     return rows
+
+
+# Direct-summation oracles of the two spread measures, in SI units, written
+# independently of the package internals.
+
+def oracle_delay_spread(powers, delays):
+    total = sum(powers)
+    mean = sum(p * t for p, t in zip(powers, delays)) / total
+    return math.sqrt(sum(p * (t - mean) ** 2 for p, t in zip(powers, delays))
+                     / total)
+
+
+def oracle_angular_spread(powers, angles):
+    total = sum(powers)
+    mu = sum(p * cmath.exp(1j * a) for p, a in zip(powers, angles)) / total
+    acc = sum(p * abs(cmath.exp(1j * a) - mu) ** 2
+              for p, a in zip(powers, angles))
+    return math.sqrt(acc / total)
+
+
+def paths_row(powers, delays=None, angles=None):
+    """One dataset row in file units from per-path linear powers, delays (s)
+    and angles (rad); every angle group gets the same angles. Unset columns
+    stay 0."""
+    n = len(powers)
+    row = np.zeros((1, gscm.feature_dim(n)))
+    with np.errstate(divide="ignore"):  # a zero power is -inf dB
+        row[0, gscm.gain_cols(n)] = 10.0 * np.log10(powers)
+    if delays is not None:
+        row[0, gscm.delay_cols(n)] = np.asarray(delays) / chanstats.NS_TO_S
+    if angles is not None:
+        for cols in (gscm.az_dod_cols, gscm.zn_dod_cols, gscm.az_doa_cols,
+                     gscm.zn_doa_cols):
+            row[0, cols(n)] = np.asarray(angles) / chanstats.DEG_TO_RAD
+    return row
+
+
+@pytest.fixture
+def attention_weights(monkeypatch):
+    """The (b, heads, Lq, B) attention weights of every projected attention
+    site that ``htransformer`` runs while the test does, in call order."""
+    seen = []
+    real = ht.projected_attention
+
+    def record(*args, **kwargs):
+        out, attn = real(*args, **kwargs)
+        seen.append(attn)
+        return out, attn
+    monkeypatch.setattr(ht, "projected_attention", record)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ batch 64) over three fixed seeds; full-scale table values are reference
 points only and are not reproduced here.
 """
 
-import cmath
 import json
 import math
 import os
@@ -15,7 +14,8 @@ import time
 
 import numpy as np
 
-from conftest import random_feature_rows, tiny_model_config
+from conftest import (oracle_angular_spread, oracle_delay_spread, paths_row,
+                      random_feature_rows, tiny_model_config)
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, cli, gscm, trainer
@@ -34,22 +34,9 @@ def _report(name, ok, detail):
 # ---------------------------------------------------------------------------
 # criterion 1: statistics oracle equivalence
 
-def _oracle_delay_spread(powers, delays):
-    total = sum(powers)
-    mean = sum(p * t for p, t in zip(powers, delays)) / total
-    return math.sqrt(sum(p * (t - mean) ** 2
-                         for p, t in zip(powers, delays)) / total)
-
-
-def _oracle_angular_spread(powers, angles):
-    total = sum(powers)
-    mu = sum(p * cmath.exp(1j * a) for p, a in zip(powers, angles)) / total
-    acc = sum(p * abs(cmath.exp(1j * a) - mu) ** 2
-              for p, a in zip(powers, angles))
-    return math.sqrt(acc / total)
-
-
 def test_criterion_1_statistics_oracle_equivalence():
+    # each draw is one dataset row in file units; every angle group holds
+    # the drawn angles, so all four angular spreads meet the same oracle
     start = time.monotonic()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -59,20 +46,22 @@ def test_criterion_1_statistics_oracle_equivalence():
         powers[int(rng.integers(0, n))] += 0.05
         delays = rng.uniform(0.0, 4e-6, n)
         angles = rng.uniform(-math.pi, math.pi, n)
-        for got, want in (
-                (chanstats.rms_delay_spread(powers, delays),
-                 _oracle_delay_spread(powers, delays)),
-                (chanstats.rms_angular_spread(powers, angles),
-                 _oracle_angular_spread(powers, angles))):
+        stats = chanstats.row_stats(paths_row(powers, delays, angles), n)
+        pairs = [(stats["delay_spread"][0],
+                  oracle_delay_spread(powers, delays))]
+        want_ang = oracle_angular_spread(powers, angles)
+        for name in chanstats.STAT_NAMES[1:]:
+            pairs.append((stats[name][0], want_ang))
+            assert 0.0 <= stats[name][0] <= 1.0
+        for got, want in pairs:
             if want > 1e-12:
                 worst = max(worst, abs(got - want) / want)
             else:
                 assert abs(got - want) < 1e-12  # zero-spread single-path case
-        s_ang = chanstats.rms_angular_spread(powers, angles)
-        assert 0.0 <= s_ang <= 1.0
     elapsed = time.monotonic() - start
     _report("criterion 1 statistics oracle", worst < 1e-10 and elapsed < 10.0,
-            "max rel err %.3e over 1000 sets in %.1fs" % (worst, elapsed))
+            "row_stats max rel err %.3e over 1000 sets x 5 spreads in %.1fs"
+            % (worst, elapsed))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +92,7 @@ def _dense_attention(x, params, heads, d_model):
     return np.concatenate(outs, axis=-1) @ params["a.wo"].data
 
 
-def test_criterion_3_projected_attention_equivalence():
+def test_criterion_3_projected_attention_equivalence(attention_weights):
     d_model, heads, seq = 16, 4, 12
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -127,9 +116,9 @@ def test_criterion_3_projected_attention_equivalence():
         ht.attention_params(params, "a", d_model, heads, rank=rank,
                             kv_len=length, rng=np.random.default_rng(7))
         x = ad.const(rng.standard_normal((1, length, d_model)))
-        instr = ht.AttentionInstrumentation()
-        ht.projected_mha(x, x, params, "a", heads, d_model, instr=instr)
-        counts[length] = instr.context_entries
+        attention_weights.clear()
+        ht.projected_mha(x, x, params, "a", heads, d_model)
+        counts[length] = sum(attn.size for attn in attention_weights)
     linear = (counts[16] == heads * 16 * rank and counts[32] == 2 * counts[16])
     _report("criterion 3 projected attention", worst < 1e-10 and linear,
             "max |proj - dense| = %.3e; context entries %d -> %d at L 16 -> 32"
@@ -148,7 +137,7 @@ def test_criterion_4_gradient_integrity():
     b = ad.tensor(rng.uniform(-0.5, 0.5, (1, 1, 4)))
     x_lin = ad.const(rng.uniform(-1, 1, (2, 3, 6)))
     errs["linear"] = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.add(ad.matmul(x_lin, w), b))), [w, b])
+        lambda: ad.sum_all(ad.square(ad.affine(x_lin, w, b))), [w, b])
 
     attn_params = {}
     ht.attention_params(attn_params, "a", 8, 2, rank=3, kv_len=5,
@@ -249,13 +238,16 @@ def _desk_dataset(cfg, seed):
         hold_range=(cfg.hold_min, cfg.hold_max))
 
 
-def _distances(ds, model_cfg, params, scaler, eval_ranges, true_pools=None):
-    t_pools, g_pools = trainer.evaluate_model(ds, model_cfg, params, scaler,
-                                              eval_ranges, stride=2)
-    if true_pools is None:
-        true_pools = t_pools
-    report = trainer.cdf_distance_report(true_pools, g_pools)
-    return {name: report[name]["cdf_mse_db"] for name in trainer.EVAL_STATS}
+def _distances(ds, model_cfg, models, scaler, eval_ranges):
+    """CDF distances (dB) by model label, then by statistic."""
+    true_pools, gen_pools = trainer.evaluate_model(
+        ds, model_cfg, models, scaler, eval_ranges, stride=2)
+    out = {}
+    for label, pools in gen_pools.items():
+        report = trainer.cdf_distance_report(true_pools, pools)
+        out[label] = {name: report[name]["cdf_mse_db"]
+                      for name in trainer.EVAL_STATS}
+    return out
 
 
 def test_criterion_7_smoke_training(tmp_path):
@@ -274,15 +266,15 @@ def test_criterion_7_smoke_training(tmp_path):
         result = trainer.train(ds, cfg, str(tmp_path / ("c7_%d.bin" % seed)))
         first.append(result.trace[0][1])
         last.append(result.trace[-1][1])
-        got = _distances(ds, model_cfg, result.params, result.scaler,
-                         eval_ranges)
         ss = np.random.SeedSequence(seed)
         fresh = init_params(model_cfg,
                             seed=int(ss.generate_state(2, dtype=np.uint64)[0]))
-        base = _distances(ds, model_cfg, fresh, result.scaler, eval_ranges)
+        dist = _distances(ds, model_cfg,
+                          {"trained": result.params, "untrained": fresh},
+                          result.scaler, eval_ranges)
         for name in trained:
-            trained[name].append(got[name])
-            untrained[name].append(base[name])
+            trained[name].append(dist["trained"][name])
+            untrained[name].append(dist["untrained"][name])
     ratio = np.mean(last) / np.mean(first)
     beats = {name: np.mean(trained[name]) < np.mean(untrained[name])
              for name in trained}
@@ -313,8 +305,8 @@ def test_criterion_8_gen_vs_pred_trend(tmp_path):
             cfg.mode, cfg.seed = mode, seed
             result = trainer.train(
                 ds, cfg, str(tmp_path / ("c8_%s_%d.bin" % (mode, seed))))
-            per_mode[mode] = _distances(ds, model_cfg, result.params,
-                                        result.scaler, eval_ranges)
+            per_mode[mode] = _distances(ds, model_cfg, {mode: result.params},
+                                        result.scaler, eval_ranges)[mode]
         margin = per_mode["pred"]["delay_spread"] - per_mode["gen"]["delay_spread"]
         margins.append(margin)
         if per_mode["gen"]["delay_spread"] <= per_mode["pred"]["delay_spread"]:

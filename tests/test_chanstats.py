@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,34 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_feature_rows
+from conftest import (oracle_angular_spread, oracle_delay_spread, paths_row,
+                      random_feature_rows)
 
 from ddgen import chanstats, gscm
 
 
-# Direct-summation oracles, written independently of the package internals.
+# The spreads of one path set, through ``row_stats`` on a one-row matrix in
+# file units; powers are linear, delays in seconds, angles in radians.
 
-def oracle_delay_spread(powers, delays):
-    total = sum(powers)
-    mean = sum(p * t for p, t in zip(powers, delays)) / total
-    return math.sqrt(sum(p * (t - mean) ** 2 for p, t in zip(powers, delays))
-                     / total)
+def _row_spreads(powers, delays=None, angles=None):
+    return chanstats.row_stats(paths_row(powers, delays, angles), len(powers))
 
 
-def oracle_angular_spread(powers, angles):
-    total = sum(powers)
-    mu = sum(p * cmath.exp(1j * a) for p, a in zip(powers, angles)) / total
-    acc = sum(p * abs(cmath.exp(1j * a) - mu) ** 2
-              for p, a in zip(powers, angles))
-    return math.sqrt(acc / total)
+def _delay_spread(powers, delays):
+    return float(_row_spreads(powers, delays)["delay_spread"][0])
+
+
+def _angular_spread(powers, angles):
+    return float(_row_spreads(powers, angles=angles)["az_doa_spread"][0])
 
 
 def test_delay_spread_single_path_is_zero():
-    assert chanstats.rms_delay_spread([1.0], [5e-7]) == 0.0
+    assert _delay_spread([1.0], [5e-7]) == 0.0
 
 
 def test_delay_spread_two_equal_paths():
-    s = chanstats.rms_delay_spread([1.0, 1.0], [0.0, 100e-9])
+    s = _delay_spread([1.0, 1.0], [0.0, 100e-9])
     assert s == pytest.approx(50e-9, rel=1e-12)
 
 
@@ -42,42 +40,38 @@ def test_delay_spread_matches_oracle_eight_paths():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.1, 1.0, 8)
     t = rng.uniform(0, 2e-6, 8)
-    assert chanstats.rms_delay_spread(p, t) == pytest.approx(
-        oracle_delay_spread(p, t), rel=1e-12)
+    assert _delay_spread(p, t) == pytest.approx(oracle_delay_spread(p, t),
+                                                rel=1e-12)
 
 
 def test_delay_spread_shift_invariance():
     rng = np.random.default_rng(4)
     p = rng.uniform(0.1, 1.0, 12)
     t = rng.uniform(0, 2e-6, 12)
-    a = chanstats.rms_delay_spread(p, t)
-    b = chanstats.rms_delay_spread(p, t + 3.3e-6)
-    assert abs(a - b) < 1e-12
+    assert abs(_delay_spread(p, t) - _delay_spread(p, t + 3.3e-6)) < 1e-12
 
 
 def test_delay_spread_scales_linearly():
     rng = np.random.default_rng(5)
     p = rng.uniform(0.1, 1.0, 9)
     t = rng.uniform(0, 2e-6, 9)
-    assert chanstats.rms_delay_spread(p, 3.0 * t) == pytest.approx(
-        3.0 * chanstats.rms_delay_spread(p, t), rel=1e-12)
+    assert _delay_spread(p, 3.0 * t) == pytest.approx(
+        3.0 * _delay_spread(p, t), rel=1e-12)
 
 
 def test_spreads_reject_zero_powers():
-    with pytest.raises(ValueError):
-        chanstats.rms_delay_spread([0.0, 0.0], [1e-9, 2e-9])
-    with pytest.raises(ValueError):
-        chanstats.rms_angular_spread([0.0], [0.1])
-    with pytest.raises(ValueError):
-        chanstats.rms_delay_spread([-1.0, 2.0], [1e-9, 2e-9])
+    # a zero power is -inf dB in the file
+    for powers in ([0.0, 0.0], [0.0]):
+        with pytest.raises(ValueError, match="row 0"):
+            _row_spreads(powers, [1e-9] * len(powers), [0.1] * len(powers))
 
 
 def test_angular_spread_single_path_is_zero():
-    assert chanstats.rms_angular_spread([2.0], [1.2]) == 0.0
+    assert _angular_spread([2.0], [1.2]) == 0.0
 
 
 def test_angular_spread_antipodal_paths():
-    assert chanstats.rms_angular_spread([1.0, 1.0], [0.0, math.pi]) == \
+    assert _angular_spread([1.0, 1.0], [0.0, math.pi]) == \
         pytest.approx(1.0, rel=1e-12)
 
 
@@ -85,17 +79,17 @@ def test_angular_spread_rotation_invariance():
     rng = np.random.default_rng(6)
     p = rng.uniform(0.1, 1.0, 10)
     a = rng.uniform(-math.pi, math.pi, 10)
-    base = chanstats.rms_angular_spread(p, a)
+    base = _angular_spread(p, a)
     for shift in (0.5, 2.0, -4.0):
-        assert abs(chanstats.rms_angular_spread(p, a + shift) - base) < 1e-12
+        assert abs(_angular_spread(p, a + shift) - base) < 1e-12
 
 
 def test_angular_spread_power_scale_invariance():
     rng = np.random.default_rng(7)
     p = rng.uniform(0.1, 1.0, 10)
     a = rng.uniform(-math.pi, math.pi, 10)
-    assert chanstats.rms_angular_spread(1e6 * p, a) == pytest.approx(
-        chanstats.rms_angular_spread(p, a), rel=1e-12)
+    assert _angular_spread(1e6 * p, a) == pytest.approx(_angular_spread(p, a),
+                                                        rel=1e-12)
 
 
 def test_spreads_match_oracles_randomized():
@@ -106,13 +100,15 @@ def test_spreads_match_oracles_randomized():
         p[int(rng.integers(0, n))] += 0.1  # at least one strictly positive
         t = rng.uniform(0.0, 3e-6, n)
         a = rng.uniform(-math.pi, math.pi, n)
-        s_tau = chanstats.rms_delay_spread(p, t)
-        s_ang = chanstats.rms_angular_spread(p, a)
+        stats = _row_spreads(p, t, a)
         o_tau = oracle_delay_spread(p, t)
         o_ang = oracle_angular_spread(p, a)
-        assert abs(s_tau - o_tau) <= max(1e-10 * o_tau, 1e-14)
-        assert abs(s_ang - o_ang) <= max(1e-10 * o_ang, 1e-13)
-        assert 0.0 <= s_ang <= 1.0
+        assert abs(stats["delay_spread"][0] - o_tau) <= max(1e-10 * o_tau,
+                                                            1e-14)
+        for name, _ in ANGLE_GROUPS:
+            s_ang = stats[name][0]
+            assert abs(s_ang - o_ang) <= max(1e-10 * o_ang, 1e-13)
+            assert 0.0 <= s_ang <= 1.0
 
 
 def test_empirical_cdf_counting():
@@ -178,7 +174,7 @@ def test_cdf_pair_shares_pooled_grid():
 
 
 # ---------------------------------------------------------------------------
-# row_stats: the vectorized core, against the scalar reference
+# row_stats on dataset rows, against the oracles
 
 ANGLE_GROUPS = (("az_dod_spread", gscm.az_dod_cols),
                 ("zn_dod_spread", gscm.zn_dod_cols),
@@ -186,13 +182,13 @@ ANGLE_GROUPS = (("az_dod_spread", gscm.az_dod_cols),
                 ("zn_doa_spread", gscm.zn_doa_cols))
 
 
-def _scalar_row_stats(row, n_paths):
-    """The scalar reference applied to one dataset row, as a dict."""
-    powers = 10.0 ** (row[gscm.gain_cols(n_paths)] / 10.0)
-    out = {"delay_spread": chanstats.rms_delay_spread(
+def _oracle_row_stats(row, n_paths):
+    """The oracles applied to one dataset row, as a dict."""
+    powers = list(10.0 ** (row[gscm.gain_cols(n_paths)] / 10.0))
+    out = {"delay_spread": oracle_delay_spread(
         powers, row[gscm.delay_cols(n_paths)] * chanstats.NS_TO_S)}
     for name, cols in ANGLE_GROUPS:
-        out[name] = chanstats.rms_angular_spread(
+        out[name] = oracle_angular_spread(
             powers, row[cols(n_paths)] * chanstats.DEG_TO_RAD)
     return out
 
@@ -208,7 +204,7 @@ def test_window_stats_composition():
         assert stats[name][1] == stats[name][0] == stats[name][2]
     assert stats["gains_db"].shape == (3, 4)
     assert np.array_equal(stats["gains_db"][2], row[gscm.gain_cols(4)])
-    want = _scalar_row_stats(row, 4)
+    want = _oracle_row_stats(row, 4)
     for name in chanstats.STAT_NAMES:
         assert stats[name][0] == pytest.approx(want[name], rel=1e-15)
     with pytest.raises(ValueError):
@@ -242,16 +238,16 @@ def test_window_stats_match_oracle_on_gscm_window():
 
 
 def test_row_stats_consistent_with_sample_units():
-    # file units (ns, degrees) in the row, SI units from the scalar reference
+    # file units (ns, degrees) in the row, SI units into the oracles
     tx, rx = (0, 0, 25), (90, -40, 1.5)
     field = gscm.place_scatterers(5, seed=17)
     stats = chanstats.row_stats(gscm.channel_rows(tx, [rx], field, 2.4), 5)
     gains, geo = _si_paths(tx, rx, field, 2.4)
-    powers = 10.0 ** (gains / 10.0)
+    powers = list(10.0 ** (gains / 10.0))
     assert stats["delay_spread"][0] == pytest.approx(
-        chanstats.rms_delay_spread(powers, geo[:, 0]), rel=1e-12)
+        oracle_delay_spread(powers, geo[:, 0]), rel=1e-12)
     for k, name in enumerate(("az_dod", "zn_dod", "az_doa", "zn_doa")):
-        want = chanstats.rms_angular_spread(powers, geo[:, 1 + k])
+        want = oracle_angular_spread(powers, geo[:, 1 + k])
         assert stats[name + "_spread"][0] == pytest.approx(want, rel=1e-9)
     assert np.allclose(stats["gains_db"][0], gains)
 
@@ -261,7 +257,7 @@ def test_row_stats_matches_scalar_reference_on_gscm_dataset():
                                  delta2d=1.0, trajectories=2)
     stats = chanstats.row_stats(ds.rows, 26)
     for i, row in enumerate(ds.rows):
-        want = _scalar_row_stats(row, 26)
+        want = _oracle_row_stats(row, 26)
         for name in chanstats.STAT_NAMES:
             assert stats[name][i] == pytest.approx(want[name], rel=1e-12)
     assert np.array_equal(stats["gains_db"], ds.rows[:, gscm.gain_cols(26)])
@@ -272,7 +268,7 @@ def test_row_stats_rejects_row_without_power():
     rows[2, gscm.gain_cols(3)] = -np.inf
     with pytest.raises(ValueError, match="row 2"):
         chanstats.row_stats(rows, 3)
-    # one path with power left is enough, as for the scalar reference
+    # one path with power left is enough
     rows[2, gscm.gain_cols(3)[1]] = -100.0
     assert np.isfinite(chanstats.row_stats(rows, 3)["delay_spread"]).all()
 

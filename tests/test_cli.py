@@ -11,7 +11,7 @@ import pytest
 
 import ddgen
 from ddgen import adtensor as ad
-from ddgen import cli, gscm, trainer
+from ddgen import chanstats, cli, gscm, trainer
 from ddgen.config import ConfigError, RunConfig, apply_overrides, load_config
 from ddgen.htransformer import ModelConfig
 
@@ -177,6 +177,22 @@ def test_evaluate_output_bytes(tmp_path, dataset_path, checkpoint_path):
                     assert f.read() == want, path
                 written += 1
     assert written == 2 * 2 * len(trainer.EVAL_STATS)
+
+
+def test_evaluate_with_untrained_computes_the_true_side_once(
+        tmp_path, dataset_path, checkpoint_path, monkeypatch):
+    # one row_stats call for the true side, one for each model's windows
+    calls = []
+    row_stats = chanstats.row_stats
+
+    def counted(*args):
+        calls.append(args)
+        return row_stats(*args)
+    monkeypatch.setattr(chanstats, "row_stats", counted)
+    assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
+                     "--dataset", dataset_path, "--out", str(tmp_path / "e"),
+                     "--with-untrained"]) == 0
+    assert len(calls) == 3
 
 
 def test_evaluate_rejects_other_path_count(tmp_path, checkpoint_path,

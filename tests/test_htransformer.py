@@ -152,26 +152,27 @@ def test_causal_mask_blocks_future_positions():
         assert np.abs(out[0, :t + 1] - base[0, :t + 1]).max() < 1e-12
 
 
-def test_context_matrix_rows_sum_to_one():
+def test_context_matrix_rows_sum_to_one(attention_weights):
     params = make_attention_site(8, 2, rank=3, kv_len=12, seed=12)
     x = ad.const(np.random.default_rng(8).standard_normal((2, 12, 8)))
-    instr = ht.AttentionInstrumentation(keep_matrices=True)
-    ht.projected_mha(x, x, params, "site", 2, 8, instr=instr)
-    for mat in instr.matrices:
+    ht.projected_mha(x, x, params, "site", 2, 8)
+    assert len(attention_weights) == 1
+    for mat in attention_weights:
+        assert mat.shape == (2, 2, 12, 3)
         assert np.abs(mat.sum(axis=-1) - 1.0).max() < 1e-12
 
 
-def test_context_storage_scales_linearly():
+def test_context_storage_scales_linearly(attention_weights):
     rank, d_model, heads = 4, 8, 2
     counts = {}
     for seq in (16, 32):
         params = make_attention_site(d_model, heads, rank=rank, kv_len=seq,
                                      seed=13)
         x = ad.const(np.random.default_rng(9).standard_normal((1, seq, d_model)))
-        instr = ht.AttentionInstrumentation()
-        ht.projected_mha(x, x, params, "site", heads, d_model, instr=instr)
-        counts[seq] = instr.context_entries
-        assert instr.context_entries == heads * seq * rank
+        attention_weights.clear()
+        ht.projected_mha(x, x, params, "site", heads, d_model)
+        counts[seq] = sum(attn.size for attn in attention_weights)
+        assert counts[seq] == heads * seq * rank
     assert counts[32] == 2 * counts[16]
 
 
@@ -281,16 +282,18 @@ def test_zeroing_bilstm_branch_recovers_decoder_path():
     no_branch = ht.hybrid_forward(hist, cfg, ablated).data
 
     # reproduce the pure decoder path by hand: decoder output -> head
+    def linear(t, name):
+        return ad.const(t.data @ ablated[name + ".w"].data
+                        + ablated[name + ".b"].data)
+
     x = ad.const(hist[None])
-    enc_in = ht.sdb_encode(x)
-    enc = ad.add(ad.matmul(enc_in, ablated["enc.proj.w"]), ablated["enc.proj.b"])
+    enc = linear(ht.sdb_encode(x), "enc.proj")
     enc = ad.add(enc, ad.const(ht.positional_encoding(cfg.lag, cfg.d_model)))
-    enc = ht._encoder_layer(enc, ablated, "enc.0", cfg, False, None, None)
-    dec_in = ht.sdb_decode(x, cfg.window)
-    dec = ad.add(ad.matmul(dec_in, ablated["dec.proj.w"]), ablated["dec.proj.b"])
+    enc = ht._encoder_layer(enc, ablated, "enc.0", cfg, False, None)
+    dec = linear(ht.sdb_decode(x, cfg.window), "dec.proj")
     dec = ad.add(dec, ad.const(ht.positional_encoding(cfg.window, cfg.d_model)))
-    dec = ht._decoder_layer(dec, enc, ablated, "dec.0", cfg, False, None, None)
-    want = ad.add(ad.matmul(dec, ablated["head.w"]), ablated["head.b"]).data
+    dec = ht._decoder_layer(dec, enc, ablated, "dec.0", cfg, False, None)
+    want = linear(dec, "head").data
     assert np.abs(no_branch - want).max() < 1e-12
     assert np.abs(full - no_branch).max() > 0  # the branch does contribute
 

@@ -517,8 +517,10 @@ def test_evaluate_model_runs_and_pools(trained_tiny):
         for stride in (1, 2, 3):
             case = "ranges %s stride %d" % (ranges, stride)
             true_p, gen_p = trainer.evaluate_model(
-                ds, model_cfg, res.params, res.scaler, ranges, stride=stride,
-                batch_size=16)
+                ds, model_cfg, {"m": res.params}, res.scaler, ranges,
+                stride=stride, batch_size=16)
+            assert list(gen_p) == ["m"]
+            gen_p = gen_p["m"]
             starts = trainer.make_windows(ranges, cfg.lag, cfg.window, stride)
             n_windows = len(starts)
             assert len(true_p["delay_spread"]) == n_windows * cfg.window
@@ -548,13 +550,31 @@ def test_evaluate_model_records_no_graph(trained_tiny, monkeypatch):
 
     real_forward = trainer.hybrid_forward
     monkeypatch.setattr(trainer, "hybrid_forward", forward)
-    trainer.evaluate_model(ds, cfg.model_config(), res.params, res.scaler,
-                           [(60, 120)], stride=1, batch_size=16)
+    trainer.evaluate_model(ds, cfg.model_config(), {"m": res.params},
+                           res.scaler, [(60, 120)], stride=1, batch_size=16)
     assert len(outputs) == 4
     for out in outputs:
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
     assert all(t.requires_grad for t in res.params.values())
+
+
+def test_evaluate_model_pools_each_model_as_if_alone(trained_tiny):
+    ds, cfg, res = trained_tiny
+    model_cfg = cfg.model_config()
+    models = {"trained": res.params, "fresh": ht.init_params(model_cfg, 9)}
+    alone = {label: trainer.evaluate_model(ds, model_cfg, {label: params},
+                                           res.scaler, [(60, 120)], stride=2,
+                                           batch_size=16)
+             for label, params in models.items()}
+    true_p, gen_p = trainer.evaluate_model(ds, model_cfg, models, res.scaler,
+                                           [(60, 120)], stride=2,
+                                           batch_size=16)
+    assert list(gen_p) == list(models)
+    for label, (true_alone, gen_alone) in alone.items():
+        for name in trainer.EVAL_STATS:
+            assert np.array_equal(true_p[name], true_alone[name])
+            assert np.array_equal(gen_p[label][name], gen_alone[label][name])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -563,12 +583,12 @@ def test_evaluate_model_skips_short_ranges(tmp_path):
     res = trainer.train(ds, cfg, path)
     model_cfg = cfg.model_config()
     with pytest.warns(UserWarning, match="skipped"):
-        true_p, _ = trainer.evaluate_model(ds, model_cfg, res.params,
+        true_p, _ = trainer.evaluate_model(ds, model_cfg, {"m": res.params},
                                            res.scaler, [(0, 5), (60, 120)],
                                            stride=2)
     assert len(true_p["delay_spread"]) > 0
     with pytest.raises(ValueError, match="windows"):
-        trainer.evaluate_model(ds, model_cfg, res.params, res.scaler,
+        trainer.evaluate_model(ds, model_cfg, {"m": res.params}, res.scaler,
                                [(0, 5)])
 
 
