@@ -120,12 +120,11 @@ def const(data):
 
 
 def _unbroadcast(grad, shape):
-    """Reduce a broadcasted gradient back to the original operand shape."""
+    """Reduce a broadcasted gradient back to the original operand shape.
+    ``_check_broadcast`` gives every operand the gradient's rank, so only
+    size-1 axes are summed."""
     if grad.shape == shape:
         return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)

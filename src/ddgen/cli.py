@@ -170,9 +170,8 @@ def cmd_evaluate(args):
     stride = settings["stride"] if args.stride is None else args.stride
     models = {"gen" if settings["mode"] == "gen" else "pred": params}
     if args.with_untrained:
-        ss = np.random.SeedSequence(settings["seed"])
-        init_seed = int(ss.generate_state(2, dtype=np.uint64)[0])
-        models["untrained"] = init_params(model_cfg, seed=init_seed)
+        models["untrained"] = init_params(
+            model_cfg, seed=trainer.seed_split(settings["seed"])[0])
     true_pools, gen_pools = trainer.evaluate_model(
         ds, model_cfg, models, scaler, eval_ranges, stride=stride)
     cells, cdfs = [], {}

@@ -71,7 +71,7 @@ class ScalerSpec:
         return np.asarray(rows, dtype=np.float64) * self.span + self.offset
 
 
-def fit_scaler(train_rows, n_paths, fixed_cols=None):
+def fit_scaler(train_rows, n_paths):
     """Record per-feature extrema over the training rows.
 
     Non-fixed features that are constant cannot be min-max scaled and are
@@ -80,11 +80,8 @@ def fit_scaler(train_rows, n_paths, fixed_cols=None):
     rows = np.asarray(train_rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("training set must be a nonempty row matrix")
-    n_feat = rows.shape[1]
-    if fixed_cols is None:
-        fixed_cols = gscm.fixed_feature_cols(n_paths)
-    fixed_mask = np.zeros(n_feat, dtype=bool)
-    fixed_mask[np.asarray(fixed_cols, dtype=int)] = True
+    fixed_mask = np.zeros(rows.shape[1], dtype=bool)
+    fixed_mask[np.asarray(gscm.fixed_feature_cols(n_paths), dtype=int)] = True
     mins = rows.min(axis=0)
     maxs = rows.max(axis=0)
     bad = np.where(~fixed_mask & (maxs <= mins))[0]
@@ -201,44 +198,20 @@ class NonFiniteStat(RuntimeError):
         self.stat_name = stat_name
 
 
-def _angular_spread_tensor(raw, cols, weights_t):
-    ang = ad.scale(ad.gather_last(raw, cols), chanstats.DEG_TO_RAD)
-    c, s = ad.cos(ang), ad.sin(ang)
-    mu_c = ad.sum_axis(ad.mul(weights_t, c), -1, keepdims=True)
-    mu_s = ad.sum_axis(ad.mul(weights_t, s), -1, keepdims=True)
-    dev2 = ad.add(ad.square(ad.sub(c, mu_c)), ad.square(ad.sub(s, mu_s)))
-    return ad.sqrt(ad.shift(ad.sum_axis(ad.mul(weights_t, dev2), -1,
-                                        keepdims=False), ANGULAR_SPREAD_EPS))
-
-
 def window_stat_tensors(x_scaled, scaler):
     """Differentiable per-step statistics of a scaled (b,P,F) window.
 
     Returns tensors: the five spreads shaped (b,P) and per-path gains in dB
-    shaped (b,P,N). Unscaling and unit conversion happen inside the graph.
+    shaped (b,P,N). The window is unscaled inside the graph, the moments are
+    ``chanstats.squared_spreads``'s, and each spread is sqrt(S^2 + eps).
     """
-    n = scaler.n_paths
     span = ad.const(scaler.span[None, None, :])
     off = ad.const(scaler.offset[None, None, :])
     raw = ad.add(ad.mul(x_scaled, span), off)
-    gains = ad.gather_last(raw, gscm.gain_cols(n))
-    powers = ad.db_to_linear(gains)
-    total = ad.sum_axis(powers, -1, keepdims=True)
-    w = ad.div(powers, total)
-    tau = ad.scale(ad.gather_last(raw, gscm.delay_cols(n)),
-                   chanstats.NS_TO_S)
-    tau_bar = ad.sum_axis(ad.mul(w, tau), -1, keepdims=True)
-    dev = ad.sub(tau, tau_bar)
-    out = {
-        "delay_spread": ad.sqrt(ad.shift(
-            ad.sum_axis(ad.mul(w, ad.square(dev)), -1, keepdims=False),
-            DELAY_SPREAD_EPS)),
-        "az_dod_spread": _angular_spread_tensor(raw, gscm.az_dod_cols(n), w),
-        "zn_dod_spread": _angular_spread_tensor(raw, gscm.zn_dod_cols(n), w),
-        "az_doa_spread": _angular_spread_tensor(raw, gscm.az_doa_cols(n), w),
-        "zn_doa_spread": _angular_spread_tensor(raw, gscm.zn_doa_cols(n), w),
-        "gains_db": gains,
-    }
+    out = chanstats.squared_spreads(raw, scaler.n_paths)
+    for name in chanstats.STAT_NAMES:
+        eps = DELAY_SPREAD_EPS if name == "delay_spread" else ANGULAR_SPREAD_EPS
+        out[name] = ad.sqrt(ad.shift(out[name], eps))
     return out
 
 
@@ -449,6 +422,14 @@ def _row_stat_arrays(rows_scaled, scaler, chunk=4096):
     return {k: np.concatenate([p[k][0] for p in parts]) for k in parts[0]}
 
 
+def seed_split(seed):
+    """The (init, loop) seeds a run's seed derives: ``init_params`` takes the
+    first, the batch-order and dropout generator the second."""
+    init_seed, loop_seed = np.random.SeedSequence(seed).generate_state(
+        2, dtype=np.uint64)
+    return int(init_seed), int(loop_seed)
+
+
 def train(dataset, cfg, checkpoint_path, resume_from=None):
     """Run the optimization loop on a ``RunConfig`` and write the final
     checkpoint, whose ``meta["settings"]`` is ``cfg.to_dict()``.
@@ -474,9 +455,7 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         rng.bit_generator.state = meta["rng_state"]
         start_epoch = meta["epoch"]
     else:
-        ss = np.random.SeedSequence(cfg.seed)
-        init_seed, loop_seed = [int(s) for s in
-                                ss.generate_state(2, dtype=np.uint64)]
+        init_seed, loop_seed = seed_split(cfg.seed)
         params = init_params(model_cfg, seed=init_seed)
         scaler = fit_scaler(train_rows, dataset.n_paths)
         weights = None
@@ -623,15 +602,14 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
 
 
 def cdf_distance_report(true_pools, gen_pools,
-                        grid_size=chanstats.CDF_GRID_SIZE,
-                        floor_db=chanstats.CDF_FLOOR_DB):
+                        grid_size=chanstats.CDF_GRID_SIZE):
     """Per-statistic CDF MSE (dB) plus the shared-grid CDFs themselves."""
     report = {}
     for name in EVAL_STATS:
         true_cdf, gen_cdf = chanstats.cdf_pair(true_pools[name],
                                                gen_pools[name], grid_size)
         report[name] = {
-            "cdf_mse_db": chanstats.cdf_mse_db(true_cdf, gen_cdf, floor_db),
+            "cdf_mse_db": chanstats.cdf_mse_db(true_cdf, gen_cdf),
             "grid": true_cdf.grid,
             "true_values": true_cdf.values,
             "gen_values": gen_cdf.values,

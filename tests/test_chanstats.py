@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,7 +117,7 @@ def test_empirical_cdf_counting():
 
 
 def test_empirical_cdf_single_point():
-    cdf = chanstats.empirical_cdf([5.0], grid_size=2)
+    cdf = chanstats.empirical_cdf([5.0], chanstats.pooled_grid([[5.0]], 2))
     assert np.array_equal(cdf.grid, [5.0, 5.0])
     assert np.array_equal(cdf.values, [1.0, 1.0])
 
@@ -125,7 +125,8 @@ def test_empirical_cdf_single_point():
 def test_empirical_cdf_properties():
     rng = np.random.default_rng(9)
     samples = rng.uniform(0, 1, 10000)
-    cdf = chanstats.empirical_cdf(samples, grid_size=512)
+    cdf = chanstats.empirical_cdf(samples,
+                                  chanstats.pooled_grid([samples], 512))
     assert np.all(np.diff(cdf.values) >= 0)
     assert cdf.values.min() >= 0 and cdf.values.max() <= 1
     assert cdf.values[-1] == 1.0
@@ -135,7 +136,7 @@ def test_empirical_cdf_properties():
 
 def test_empirical_cdf_rejects_empty():
     with pytest.raises(ValueError):
-        chanstats.empirical_cdf([])
+        chanstats.empirical_cdf([], np.array([0.0]))
 
 
 def test_cdf_mse_db_floor_and_offset():
@@ -330,8 +331,19 @@ def test_row_stats_angular_spreads_invariant_to_rotation(rows_n, group,
                           chanstats.row_stats(rotated, n))
 
 
+def _equal_powers_even_angles():
+    """Three equal-power paths 120 degrees apart in every angle group: the
+    unclamped moment rounds to 1 + 4e-16, and its square root above 1."""
+    rows = random_feature_rows(1, 3, seed=0)
+    rows[:, gscm.gain_cols(3)] = -90.0
+    for _, cols in ANGLE_GROUPS:
+        rows[:, cols(3)] = [8.0, 128.0, 248.0]
+    return rows, 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_rows())
+@example(_equal_powers_even_angles())
 def test_row_stats_angular_spreads_in_unit_interval(rows_n):
     rows, n = rows_n
     stats = chanstats.row_stats(rows, n)

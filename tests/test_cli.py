@@ -195,6 +195,31 @@ def test_evaluate_with_untrained_computes_the_true_side_once(
     assert len(calls) == 3
 
 
+def test_evaluate_untrained_is_the_model_train_starts_from(
+        tmp_path, dataset_path, monkeypatch):
+    seen = {}
+    real_init, real_evaluate = trainer.init_params, trainer.evaluate_model
+
+    def init(*args, **kwargs):
+        params = real_init(*args, **kwargs)
+        seen["start"] = {k: t.data.copy() for k, t in params.items()}
+        return params
+
+    def evaluate(dataset, model_cfg, models, *args, **kwargs):
+        seen["untrained"] = models["untrained"]
+        return real_evaluate(dataset, model_cfg, models, *args, **kwargs)
+    monkeypatch.setattr(trainer, "init_params", init)
+    monkeypatch.setattr(trainer, "evaluate_model", evaluate)
+    checkpoint = str(tmp_path / "ck.bin")
+    assert cli.main(train_args(dataset_path, checkpoint)) == 0
+    assert cli.main(["evaluate", "--checkpoint", checkpoint,
+                     "--dataset", dataset_path, "--out", str(tmp_path / "e"),
+                     "--with-untrained"]) == 0
+    assert set(seen["untrained"]) == set(seen["start"])
+    for k, t in seen["untrained"].items():
+        assert np.array_equal(t.data, seen["start"][k]), k
+
+
 def test_evaluate_rejects_other_path_count(tmp_path, checkpoint_path,
                                            capsys):
     three = str(tmp_path / "three.txt")

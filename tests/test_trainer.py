@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import weakref
 
@@ -11,6 +12,7 @@ from conftest import random_feature_rows, tiny_model_config, tiny_run_config
 from ddgen import adtensor as ad
 from ddgen import chanstats, gscm, trainer
 from ddgen import htransformer as ht
+from ddgen.config import desk_preset
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,56 @@ def test_window_stat_tensors_of_constant_record_nothing(small_dataset,
     assert set(stats) == set(chanstats.STAT_NAMES) | {"gains_db"}
     for t in stats.values():
         assert t._parents == () and not t.requires_grad
+
+
+def test_window_stat_tensors_match_oracle_checked_row_stats(small_dataset,
+                                                           small_scaler):
+    # the loss's statistics are the ones criterion 1 checks against the
+    # oracles, finished with sqrt(S^2 + eps) instead of sqrt(S^2)
+    rows = small_dataset.rows[:60]
+    window = small_scaler.scale(rows).reshape(6, 10, -1)
+    got = trainer.window_stat_tensors(ad.tensor(window), small_scaler)
+    want = chanstats.row_stats(rows, small_dataset.n_paths)
+    for name in chanstats.STAT_NAMES:
+        eps = (trainer.DELAY_SPREAD_EPS if name == "delay_spread"
+               else trainer.ANGULAR_SPREAD_EPS)
+        assert np.allclose(got[name].data.ravel(),
+                           np.sqrt(want[name] ** 2 + eps),
+                           rtol=1e-12, atol=0.0), name
+    assert np.allclose(got["gains_db"].data.reshape(60, -1),
+                       want["gains_db"], rtol=1e-12, atol=0.0)
+
+
+# sha256 of a desk batch's stats_loss value and gradient bytes, pinned when
+# both loss sides ran their own spread formulas: sharing the definition with
+# row_stats left the loss op for op, and bit for bit, as it was
+DESK_LOSS_HEX = "0x1.e396b6594d80dp-14"
+DESK_LOSS_DIGEST = ("de562b37bef1d737cda95c06d02959ff"
+                    "76d20050808a1b60491cacae1cf9daf9")
+
+
+def test_stats_loss_bits_pinned_on_desk_batch():
+    cfg = desk_preset()
+    ds = gscm.synthesize_dataset(
+        n_paths=cfg.n_scatterers, steps=cfg.steps, seed=1, fc_ghz=cfg.fc_ghz,
+        delta2d=cfg.delta2d, trajectories=cfg.trajectories,
+        hold_range=(cfg.hold_min, cfg.hold_max))
+    train_ranges, _ = trainer.split_ranges(ds, cfg.train_frac)
+    scaler = trainer.fit_scaler(ds.rows, ds.n_paths)
+    rows = scaler.scale(ds.rows)
+    starts = trainer.make_windows(train_ranges, cfg.lag, cfg.window,
+                                  cfg.stride)[:cfg.batch_size]
+    _, targ = trainer.gather_window_arrays(rows, starts, cfg.lag, cfg.window)
+    _, moved = trainer.gather_window_arrays(rows, starts + 1, cfg.lag,
+                                            cfg.window)
+    gen = ad.tensor(moved)
+    loss = trainer.stats_loss(targ, gen, scaler,
+                              trainer.LossWeights(2e6, 2.0, 30.0, 0.01),
+                              cfg.beta)
+    loss.backward()
+    assert loss.item().hex() == DESK_LOSS_HEX
+    assert hashlib.sha256(loss.data.tobytes() + gen.grad.tobytes()
+                          ).hexdigest() == DESK_LOSS_DIGEST
 
 
 @pytest.mark.parametrize("chunk", [4096, 50])
