@@ -391,58 +391,54 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     return _node(y, (a, gamma, beta), back)
 
 
-def projected_attention(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
-                        mask=None):
+def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale, mask=None):
     """Multi-head attention with keys and values compressed along the
     sequence axis, as one node.
 
-    ``x_q`` is (b, Lq, d) and ``x_kv`` is (b, Lkv, d); ``wq``, ``wk``,
-    ``wv`` and ``wo`` are (d, d); ``es`` and ``fs`` hold one (B, Lkv)
-    projection per head, stacked inside the op to (h, B, Lkv). Head i reads
-    columns i*d_k:(i+1)*d_k of the query, key and value projections, with
-    d_k = d / h. Its logits are ``q_i @ (E_i k_i)^T * logit_scale``, plus
-    ``mask`` (an optional constant array broadcast against the (b, h, Lq,
-    B) logits); a softmax over the B slots gives its attention weights,
-    which weight ``F_i v_i``. The heads' outputs side by side go through
-    ``wo``. Values are those of the per-head matmul/softmax composition.
+    ``x_q`` is (b, Lq, d) and ``x_kv`` is (b, Lkv, d); ``wqkv`` is (d, 3d),
+    the query, key and value projections side by side, and ``wo`` is
+    (d, d); ``e`` and ``f`` are (h, B, Lkv), one projection per head.
+    Head i reads columns i*d_k:(i+1)*d_k of the query, key and value
+    projections, with d_k = d / h. Its logits are
+    ``q_i @ (E_i k_i)^T * logit_scale``, plus ``mask`` (an optional constant
+    array broadcast against the (b, h, Lq, B) logits); a softmax over the B
+    slots gives its attention weights, which weight ``F_i v_i``. The heads'
+    outputs side by side go through ``wo``. Values are those of the
+    per-head matmul/softmax composition.
 
     A self site (``x_kv is x_q``) projects Q, K and V with one GEMM against
-    ``[wq|wk|wv]``; a cross site uses ``wq`` and one GEMM against
-    ``[wk|wv]``. All heads run as batched matmuls, and the backward is
-    written out, with the input- and weight-gradient GEMMs of the
-    concatenated projections done once. Returns the (b, Lq, d) output
-    tensor and the (b, h, Lq, B) attention weights as a plain array.
+    ``wqkv``; a cross site multiplies ``x_q`` by its first d columns and
+    ``x_kv`` by the other 2d. All heads run as batched matmuls, and the
+    backward is written out. Returns the (b, Lq, d) output tensor and the
+    (b, h, Lq, B) attention weights as a plain array.
     """
-    heads = len(es)
     b, l_q, d = x_q.data.shape
     l_kv = x_kv.data.shape[1]
-    rank = es[0].data.shape[0] if heads else 0
+    heads, rank = e.data.shape[:2]
     if rank > l_kv:
         raise ValueError("projected_attention: projection rank %d exceeds "
                          "sequence length %d" % (rank, l_kv))
-    if (not heads or len(fs) != heads or d % heads
-            or x_kv.data.shape != (b, l_kv, d)
-            or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo))
-            or any(p.data.shape != (rank, l_kv) for p in list(es) + list(fs))):
+    if (not heads or d % heads or x_kv.data.shape != (b, l_kv, d)
+            or wqkv.data.shape != (d, 3 * d) or wo.data.shape != (d, d)
+            or e.data.shape != (heads, rank, l_kv)
+            or f.data.shape != e.data.shape):
         raise ValueError(
-            "projected_attention: inputs %s, %s, weights %s and %d/%d "
-            "projections %s do not fit (b, L, d), (d, d) and (B, Lkv)"
-            % (x_q.data.shape, x_kv.data.shape, wq.data.shape, len(es),
-               len(fs), es[0].data.shape if heads else None))
+            "projected_attention: inputs %s, %s, weights %s, %s and "
+            "projections %s, %s do not fit (b, L, d), (d, 3d), (d, d) and "
+            "(h, B, Lkv)" % (x_q.data.shape, x_kv.data.shape, wqkv.data.shape,
+                             wo.data.shape, e.data.shape, f.data.shape))
     d_k = d // heads
     self_site = x_kv is x_q
-    e = np.stack([p.data for p in es])                     # (h, B, Lkv)
-    f = np.stack([p.data for p in fs])
     xq2 = x_q.data.reshape(-1, d)
     if self_site:
         xkv2 = xq2
-        w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        w_in = wqkv.data
         qkv = xq2 @ w_in
         q2, kv2 = qkv[:, :d], qkv[:, d:]
     else:
         xkv2 = x_kv.data.reshape(-1, d)
-        w_in = np.concatenate([wk.data, wv.data], axis=1)
-        q2, kv2 = xq2 @ wq.data, xkv2 @ w_in
+        w_in = wqkv.data[:, d:]
+        q2, kv2 = xq2 @ wqkv.data[:, :d], xkv2 @ w_in
 
     def by_head(m, length):
         # (b*length, d) -> (b, h, length, d_k)
@@ -451,8 +447,8 @@ def projected_attention(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
     q = by_head(q2, l_q)
     k = by_head(kv2[:, :d], l_kv)
     v = by_head(kv2[:, d:], l_kv)
-    k_low = np.matmul(e, k)                                # (b, h, B, d_k)
-    v_low = np.matmul(f, v)
+    k_low = np.matmul(e.data, k)                           # (b, h, B, d_k)
+    v_low = np.matmul(f.data, v)
     attn = np.matmul(q, np.swapaxes(k_low, -1, -2))        # (b, h, Lq, B)
     attn *= logit_scale
     if mask is not None:
@@ -482,43 +478,37 @@ def projected_attention(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
         g_k_low = np.matmul(np.swapaxes(g_s, -1, -2), q)
         # each projection's gradient sums its head over the batch: one GEMM
         # per head over the (b, d_k) pairs
-        for ps, g_low, kv in ((es, g_k_low, k), (fs, g_v_low, v)):
-            if any(p.requires_grad for p in ps):
-                g_p = np.matmul(
+        for p, g_low, kv in ((e, g_k_low, k), (f, g_v_low, v)):
+            if p.requires_grad:
+                _accum(p, np.matmul(
                     g_low.transpose(1, 2, 0, 3).reshape(heads, rank, -1),
-                    kv.transpose(1, 0, 3, 2).reshape(heads, -1, l_kv))
-                for p, g_i in zip(ps, g_p):
-                    if p.requires_grad:
-                        _accum(p, g_i)
+                    kv.transpose(1, 0, 3, 2).reshape(heads, -1, l_kv)))
         # gradients of the projected q, k, v side by side, head-major as in
         # the forward's columns
         n_in = 3 if self_site else 2
         g_in = np.empty((b, l_kv, n_in, heads, d_k))
-        g_in[:, :, n_in - 2] = np.matmul(np.swapaxes(e, -1, -2),
+        g_in[:, :, n_in - 2] = np.matmul(np.swapaxes(e.data, -1, -2),
                                          g_k_low).transpose(0, 2, 1, 3)
-        g_in[:, :, n_in - 1] = np.matmul(np.swapaxes(f, -1, -2),
+        g_in[:, :, n_in - 1] = np.matmul(np.swapaxes(f.data, -1, -2),
                                          g_v_low).transpose(0, 2, 1, 3)
         g_q = np.matmul(g_s, k_low).transpose(0, 2, 1, 3)  # (b, Lq, h, d_k)
         if self_site:
             g_in[:, :, 0] = g_q
         else:
             g_q2 = g_q.reshape(-1, d)
-            if wq.requires_grad:
-                _accum(wq, xq2.T @ g_q2)
             if x_q.requires_grad:
-                _accum(x_q, (g_q2 @ wq.data.T).reshape(x_q.data.shape))
+                _accum(x_q, (g_q2 @ wqkv.data[:, :d].T).reshape(x_q.data.shape))
         g_in2 = g_in.reshape(-1, n_in * d)
-        w_grads = ([wq] if self_site else []) + [wk, wv]
-        if any(w.requires_grad for w in w_grads):
+        if wqkv.requires_grad:
             g_w = xkv2.T @ g_in2
-            for i, w in enumerate(w_grads):
-                if w.requires_grad:
-                    _accum(w, g_w[:, i * d:(i + 1) * d])
+            if not self_site:
+                g_w = np.concatenate([xq2.T @ g_q2, g_w], axis=1)
+            _accum(wqkv, g_w)
         if x_kv.requires_grad:
             _accum(x_kv, (g_in2 @ w_in.T).reshape(x_kv.data.shape))
 
-    inputs = ((x_q,) if self_site else (x_q, x_kv)) + (wq, wk, wv, wo)
-    return _node(out, inputs + tuple(es) + tuple(fs), back), attn
+    inputs = (x_q,) if self_site else (x_q, x_kv)
+    return _node(out, inputs + (wqkv, wo, e, f), back), attn
 
 
 def smooth_l1(a, b, beta):
@@ -540,38 +530,36 @@ def smooth_l1(a, b, beta):
                  (a, b), back)
 
 
-def lstm_bidir(x_fw, x_bw, wh_fw, wh_bw):
+def lstm_bidir(x, wh):
     """Both directions of one bidirectional LSTM layer as one node.
 
-    ``x_fw``/``x_bw`` are each direction's input contribution x @ wx + b,
-    shaped (b, T, 4H): the input, forget, cell and output gate
-    pre-activations side by side. ``wh_fw``/``wh_bw`` are the (H, 4H)
-    recurrent weights. Step s of the recurrence advances the forward
-    direction at time s and the backward direction at time T-1-s together,
-    stacked as (2, b, 4H), from zero states and with the arithmetic of the
-    per-step matmul/add/sigmoid/tanh/mul composition. Returns the (b, T, 2H)
-    outputs, forward half first. The backward is BPTT written out; each
-    direction's ``wh`` gradient is one GEMM over all steps.
+    ``x`` is the layer's input projection x @ wx + b, shaped (b, T, 8H):
+    the forward direction's input, forget, cell and output gate
+    pre-activations side by side, then the backward direction's. ``wh`` is
+    (2, H, 4H), the forward and backward recurrent weights. Step s of the
+    recurrence advances the forward direction at time s and the backward
+    direction at time T-1-s together, stacked as (2, b, 4H), from zero
+    states and with the arithmetic of the per-step
+    matmul/add/sigmoid/tanh/mul composition. Returns the (b, T, 2H)
+    outputs, forward half first. The backward is BPTT written out; the
+    ``wh`` gradient of each direction is one GEMM over all steps.
     """
-    b, t_len, width = x_fw.data.shape
-    hid = wh_fw.data.shape[0]
-    if (x_bw.data.shape != x_fw.data.shape or width != 4 * hid
-            or wh_fw.data.shape != (hid, width)
-            or wh_bw.data.shape != wh_fw.data.shape):
-        raise ValueError("lstm_bidir: inputs %s, %s and recurrent weights "
-                         "%s, %s are not (b, T, 4H) and (H, 4H)"
-                         % (x_fw.data.shape, x_bw.data.shape,
-                            wh_fw.data.shape, wh_bw.data.shape))
+    b, t_len, width = x.data.shape
+    hid = width // 8
+    if width != 8 * hid or wh.data.shape != (2, hid, 4 * hid):
+        raise ValueError("lstm_bidir: input %s and recurrent weights %s are "
+                         "not (b, T, 8H) and (2, H, 4H)"
+                         % (x.data.shape, wh.data.shape))
+    gates = 4 * hid
     # (direction, step, b, .) layout: the backward direction reads time reversed
-    zx = np.stack([x_fw.data.transpose(1, 0, 2),
-                   x_bw.data[:, ::-1].transpose(1, 0, 2)])
-    wh = np.stack([wh_fw.data, wh_bw.data])
+    zx = np.stack([x.data[..., :gates].transpose(1, 0, 2),
+                   x.data[:, ::-1, gates:].transpose(1, 0, 2)])
     acts = np.empty_like(zx)                 # gate activations i, f, g, o
     hs = np.zeros((2, t_len + 1, b, hid))    # hs[:, s]: state entering step s
     cs = np.zeros((2, t_len + 1, b, hid))
     tcs = np.empty((2, t_len, b, hid))       # tanh of the new cell state
     for s in range(t_len):
-        z = zx[:, s] + np.matmul(hs[:, s], wh)
+        z = zx[:, s] + np.matmul(hs[:, s], wh.data)
         a = acts[:, s]
         np.divide(1.0, 1.0 + np.exp(-z), out=a)
         a[..., 2 * hid:3 * hid] = np.tanh(z[..., 2 * hid:3 * hid])
@@ -586,8 +574,8 @@ def lstm_bidir(x_fw, x_bw, wh_fw, wh_bw):
     def back(g):
         gh = np.stack([g[..., :hid].transpose(1, 0, 2),
                        g[:, ::-1, hid:].transpose(1, 0, 2)])
-        wh_t = wh.transpose(0, 2, 1)
-        dz = np.empty((2, t_len, b, width))
+        wh_t = wh.data.transpose(0, 2, 1)
+        dz = np.empty((2, t_len, b, gates))
         dh_next = np.zeros((2, b, hid))
         dc_next = np.zeros((2, b, hid))
         for s in range(t_len - 1, -1, -1):
@@ -604,18 +592,17 @@ def lstm_bidir(x_fw, x_bw, wh_fw, wh_bw):
             dc_next = dc * f
             if s:
                 dh_next = np.matmul(d, wh_t)
-        if x_fw.requires_grad:
-            _accum(x_fw, np.ascontiguousarray(dz[0].transpose(1, 0, 2)))
-        if x_bw.requires_grad:
-            _accum(x_bw, np.ascontiguousarray(dz[1, ::-1].transpose(1, 0, 2)))
-        if wh_fw.requires_grad or wh_bw.requires_grad:
+        if x.requires_grad:
+            gx = np.empty(x.data.shape)
+            gx[..., :gates] = dz[0].transpose(1, 0, 2)
+            gx[..., gates:] = dz[1, ::-1].transpose(1, 0, 2)
+            _accum(x, gx)
+        if wh.requires_grad:
             # every step's h_prev^T @ dz of a direction in one GEMM
-            gw = np.matmul(hs[:, :t_len].reshape(2, -1, hid).transpose(0, 2, 1),
-                           dz.reshape(2, -1, width))
-            for w, gw_d in ((wh_fw, gw[0]), (wh_bw, gw[1])):
-                if w.requires_grad:
-                    _accum(w, gw_d)
-    return _node(out, (x_fw, x_bw, wh_fw, wh_bw), back)
+            _accum(wh, np.matmul(
+                hs[:, :t_len].reshape(2, -1, hid).transpose(0, 2, 1),
+                dz.reshape(2, -1, gates)))
+    return _node(out, (x, wh), back)
 
 
 # ---------------------------------------------------------------------------

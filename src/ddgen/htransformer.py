@@ -56,10 +56,6 @@ class ModelConfig:
             raise ValueError("stacks need at least one layer")
         return self
 
-    @property
-    def d_k(self):
-        return self.d_model // self.heads
-
     def to_dict(self):
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
@@ -72,18 +68,18 @@ class ModelConfig:
 # parameter construction
 
 def attention_params(params, prefix, d_model, heads, rank, kv_len, rng):
-    """Append the learned matrices for one projected attention site."""
+    """Append the learned matrices of one projected attention site: the
+    (d, 3d) Q|K|V projection, the (d, d) output projection, and the
+    (heads, B, Lkv) E and F stacks."""
     lim = 1.0 / math.sqrt(d_model)
-    for w in ("wq", "wk", "wv", "wo"):
-        params["%s.%s" % (prefix, w)] = tensor(
-            rng.uniform(-lim, lim, (d_model, d_model)))
+    w = rng.uniform(-lim, lim, (4, d_model, d_model))
+    params[prefix + ".wqkv"] = tensor(np.concatenate(w[:3], axis=1))
+    params[prefix + ".wo"] = tensor(w[3])
     r = min(rank, kv_len)
     lim_p = 1.0 / math.sqrt(kv_len)
-    for i in range(heads):
-        params["%s.e%d" % (prefix, i)] = tensor(
-            rng.uniform(-lim_p, lim_p, (r, kv_len)))
-        params["%s.f%d" % (prefix, i)] = tensor(
-            rng.uniform(-lim_p, lim_p, (r, kv_len)))
+    ef = rng.uniform(-lim_p, lim_p, (heads, 2, r, kv_len))
+    params[prefix + ".e"] = tensor(ef[:, 0])
+    params[prefix + ".f"] = tensor(ef[:, 1])
 
 
 def _affine(params, name, fan_in, fan_out, rng):
@@ -103,13 +99,20 @@ def _ffn_params(params, prefix, d_model, ffn_dim, rng):
 
 
 def _lstm_params(params, prefix, d_in, hidden, rng):
+    """Append one bidirectional layer: the (d_in, 8H) input weights and the
+    (1, 1, 8H) bias, forward direction first, and the (2, H, 4H) recurrent
+    weights."""
     lim_x = 1.0 / math.sqrt(d_in)
     lim_h = 1.0 / math.sqrt(hidden)
-    params[prefix + ".wx"] = tensor(rng.uniform(-lim_x, lim_x, (d_in, 4 * hidden)))
-    params[prefix + ".wh"] = tensor(rng.uniform(-lim_h, lim_h, (hidden, 4 * hidden)))
-    bias = np.zeros((1, 1, 4 * hidden))
-    bias[..., hidden:2 * hidden] = 1.0  # forget gate opens at init
-    params[prefix + ".b"] = tensor(bias)
+    wx, wh = [], []
+    for _ in range(2):
+        wx.append(rng.uniform(-lim_x, lim_x, (d_in, 4 * hidden)))
+        wh.append(rng.uniform(-lim_h, lim_h, (hidden, 4 * hidden)))
+    params[prefix + ".wx"] = tensor(np.concatenate(wx, axis=1))
+    params[prefix + ".wh"] = tensor(np.stack(wh))
+    bias = np.zeros((1, 1, 2, 4 * hidden))
+    bias[..., hidden:2 * hidden] = 1.0  # forget gates open at init
+    params[prefix + ".b"] = tensor(bias.reshape(1, 1, 8 * hidden))
 
 
 def init_params(cfg, seed=0):
@@ -138,8 +141,7 @@ def init_params(cfg, seed=0):
         _layernorm_params(params, "dec.%d.ln3" % i, cfg.d_model)
     d_in = f2
     for i in range(cfg.bilstm_layers):
-        _lstm_params(params, "lstm.%d.fw" % i, d_in, cfg.bilstm_hidden, rng)
-        _lstm_params(params, "lstm.%d.bw" % i, d_in, cfg.bilstm_hidden, rng)
+        _lstm_params(params, "lstm.%d" % i, d_in, cfg.bilstm_hidden, rng)
         d_in = 2 * cfg.bilstm_hidden
     _affine(params, "lstm.proj", 2 * cfg.bilstm_hidden, cfg.d_model, rng)
     _affine(params, "head", cfg.d_model, cfg.feature_dim, rng)
@@ -218,23 +220,22 @@ def _causal_mask(n_rows, n_cols):
     return mask
 
 
-def projected_mha(x_q, x_kv, params, prefix, heads, d_model, causal=False):
+def projected_mha(x_q, x_kv, params, prefix, causal=False):
     """Multi-head attention with rank-B compressed keys and values.
 
     Keys/values are projected along the sequence axis by the learned E/F
-    matrices of this site, so each head's context matrix is (Lq x B). The
+    stacks of this site, so each head's context matrix is (Lq x B). The
     causal mask zeroes logits above the diagonal of the compressed slot
     index; with identity E/F this reduces to ordinary masked attention.
-    The site is one ``projected_attention`` node.
+    The site is one ``projected_attention`` node; its head count is the
+    leading axis of E, and the logits are scaled by 1/sqrt(d_model).
     """
-    es = [params["%s.e%d" % (prefix, i)] for i in range(heads)]
-    fs = [params["%s.f%d" % (prefix, i)] for i in range(heads)]
-    mask = (_causal_mask(x_q.data.shape[1], es[0].data.shape[0])
+    e, f = params[prefix + ".e"], params[prefix + ".f"]
+    mask = (_causal_mask(x_q.data.shape[1], e.data.shape[1])
             if causal else None)
     out, _ = projected_attention(
-        x_q, x_kv, *(params["%s.%s" % (prefix, w)]
-                     for w in ("wq", "wk", "wv", "wo")),
-        es, fs, 1.0 / math.sqrt(d_model), mask)
+        x_q, x_kv, params[prefix + ".wqkv"], params[prefix + ".wo"], e, f,
+        1.0 / math.sqrt(x_q.data.shape[-1]), mask)
     return out
 
 
@@ -255,7 +256,7 @@ def _ffn(x, params, prefix):
 
 
 def _encoder_layer(x, params, prefix, cfg, training, rng):
-    a = projected_mha(x, x, params, prefix + ".attn", cfg.heads, cfg.d_model)
+    a = projected_mha(x, x, params, prefix + ".attn")
     x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
                    params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
     f = _ffn(x, params, prefix)
@@ -264,12 +265,10 @@ def _encoder_layer(x, params, prefix, cfg, training, rng):
 
 
 def _decoder_layer(x, memory, params, prefix, cfg, training, rng):
-    a = projected_mha(x, x, params, prefix + ".self", cfg.heads, cfg.d_model,
-                      causal=True)
+    a = projected_mha(x, x, params, prefix + ".self", causal=True)
     x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
                    params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    c = projected_mha(x, memory, params, prefix + ".cross", cfg.heads,
-                      cfg.d_model)
+    c = projected_mha(x, memory, params, prefix + ".cross")
     x = layer_norm(add(x, _dropout(c, cfg.dropout, training, rng)),
                    params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     f = _ffn(x, params, prefix)
@@ -280,17 +279,17 @@ def _decoder_layer(x, memory, params, prefix, cfg, training, rng):
 def bilstm_forward(x, params, prefix, hidden, layers=1):
     """Stacked bidirectional LSTM: (b,T,d_in) -> (b,T,2*hidden).
 
-    Each layer is two input projections and one ``lstm_bidir`` node.
+    Each layer is one input projection for both directions and one
+    ``lstm_bidir`` node.
     """
     out = x
     for i in range(layers):
-        fw, bw = ("%s.%d.%s" % (prefix, i, d) for d in ("fw", "bw"))
-        if params[fw + ".wh"].data.shape[0] != hidden:
+        name = "%s.%d" % (prefix, i)
+        if params[name + ".wh"].data.shape[1] != hidden:
             raise ValueError("%s.wh does not have %d hidden units"
-                             % (fw, hidden))
-        out = lstm_bidir(affine(out, params[fw + ".wx"], params[fw + ".b"]),
-                         affine(out, params[bw + ".wx"], params[bw + ".b"]),
-                         params[fw + ".wh"], params[bw + ".wh"])
+                             % (name, hidden))
+        out = lstm_bidir(affine(out, params[name + ".wx"], params[name + ".b"]),
+                         params[name + ".wh"])
     return out
 
 

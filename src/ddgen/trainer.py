@@ -347,6 +347,12 @@ class TrainResult:
     trace: list  # (epoch, mean_loss, lr)
 
 
+# The checkpoint kind names the parameter layout: "/2" stores each attention
+# site as one Q|K|V matrix and stacked E/F, and each BiLSTM layer as one
+# input projection and stacked recurrent weights. Any other kind is refused.
+CHECKPOINT_KIND = "ddgen-train/2"
+
+
 def _checkpoint_tensors(params, scaler, opt):
     tensors = dict(params)
     tensors["scaler.mins"] = scaler.mins
@@ -359,7 +365,7 @@ def _checkpoint_tensors(params, scaler, opt):
 def save_train_checkpoint(path, params, scaler, opt, model_cfg, cfg,
                           weights, epoch, rng):
     meta = {
-        "kind": "ddgen-train",
+        "kind": CHECKPOINT_KIND,
         "model": model_cfg.to_dict(),
         "settings": cfg.to_dict(),
         "weights": weights.to_dict() if weights is not None else None,
@@ -376,10 +382,16 @@ def load_train_checkpoint(path, optimizer=True):
 
     With ``optimizer=False`` the AdamW moments are skipped, not read, and
     the opt arrays dict is empty: a run that only evaluates the model needs
-    the parameters and the scaler alone.
+    the parameters and the scaler alone. A checkpoint of another kind,
+    such as one in the per-head and per-direction layout, raises
+    ``ConfigError``.
     """
     arrays, meta = ad.load_checkpoint(path,
                                       skip=() if optimizer else ("opt.",))
+    if meta.get("kind") != CHECKPOINT_KIND:
+        raise ConfigError("%s is a %r checkpoint; this version reads only "
+                          "%r checkpoints" % (path, meta.get("kind"),
+                                              CHECKPOINT_KIND))
     params = {}
     opt_arrays = {}
     scaler_fields = {}
@@ -400,14 +412,11 @@ def load_train_checkpoint(path, optimizer=True):
 def _check_resume(meta, model_cfg, cfg, n_paths):
     """A checkpoint resumes only the run that wrote it: the path count,
     every model key, and the loss mode and the training rows (``train_frac``
-    and ``stride``) must match the request. A run key is compared when the
-    checkpoint's settings record it."""
-    settings = meta["settings"]
+    and ``stride``) must match the request."""
     have = {"n_paths": meta["n_paths"], **meta["model"]}
     want = {"n_paths": n_paths, **model_cfg.to_dict()}
     for key in ("mode", "train_frac", "stride"):
-        if key in settings:
-            have[key], want[key] = settings[key], getattr(cfg, key)
+        have[key], want[key] = meta["settings"][key], getattr(cfg, key)
     for key, val in want.items():
         if have.get(key) != val:
             raise ConfigError("cannot resume: checkpoint has %s=%r, this run "

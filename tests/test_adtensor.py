@@ -179,10 +179,22 @@ def _sigmoid(a):
 
 
 def _lstm_inputs(b, t_len, hid, seed):
-    return (ad.tensor(rnd((b, t_len, 4 * hid), seed=seed)),
-            ad.tensor(rnd((b, t_len, 4 * hid), seed=seed + 1)),
-            ad.tensor(rnd((hid, 4 * hid), seed=seed + 2, lo=-1, hi=1)),
-            ad.tensor(rnd((hid, 4 * hid), seed=seed + 3, lo=-1, hi=1)))
+    """(x, wh): the (b, T, 8H) input projection and (2, H, 4H) recurrent
+    weights, forward direction first."""
+    return (ad.tensor(np.concatenate([rnd((b, t_len, 4 * hid), seed=seed),
+                                      rnd((b, t_len, 4 * hid), seed=seed + 1)],
+                                     axis=-1)),
+            ad.tensor(np.stack([rnd((hid, 4 * hid), seed=seed + 2, lo=-1, hi=1),
+                                rnd((hid, 4 * hid), seed=seed + 3, lo=-1,
+                                    hi=1)])))
+
+
+def _per_direction(x, wh):
+    """Copies of each direction's slices of ``lstm_bidir``'s inputs, as
+    (x_fw, x_bw, wh_fw, wh_bw)."""
+    gates = wh.shape[-1]
+    return [ad.tensor(a) for a in (x.data[..., :gates], x.data[..., gates:],
+                                   wh.data[0], wh.data[1])]
 
 
 def _lstm_composition(x_fw, x_bw, wh_fw, wh_bw):
@@ -216,8 +228,7 @@ def test_lstm_bidir_gradients_through_two_layers():
     rng = np.random.default_rng(39)
     params = {}
     for i, d_in in enumerate((3, 4)):
-        for d in ("fw", "bw"):
-            ht._lstm_params(params, "l.%d.%s" % (i, d), d_in, 2, rng)
+        ht._lstm_params(params, "l.%d" % i, d_in, 2, rng)
     x = ad.tensor(rnd((2, 3, 3), seed=40))
     err = ad.grad_check(
         lambda: _weighted_sum([ht.bilstm_forward(x, params, "l", 2, 2)],
@@ -227,19 +238,22 @@ def test_lstm_bidir_gradients_through_two_layers():
 
 
 def test_lstm_bidir_matches_composition():
-    fused_in = _lstm_inputs(3, 5, 4, seed=42)
-    ref_in = [ad.tensor(t.data.copy()) for t in fused_in]
-    fused = ad.lstm_bidir(*fused_in)
+    x, wh = _lstm_inputs(3, 5, 4, seed=42)
+    ref_in = _per_direction(x, wh)
+    fused = ad.lstm_bidir(x, wh)
     ref = _lstm_composition(*ref_in)
     assert np.array_equal(fused.data, ref.data)
     seed = rnd(fused.shape, seed=46)
     fused.backward(seed)
     ref.backward(seed)
-    for got, want in zip(fused_in, ref_in):
-        assert np.abs(got.grad - want.grad).max() < 1e-12
-    with pytest.raises(ValueError, match="lstm_bidir"):
-        ad.lstm_bidir(fused_in[0], fused_in[1], fused_in[2],
-                      ad.tensor(rnd((3, 16))))
+    x_fw, x_bw, wh_fw, wh_bw = (t.grad for t in ref_in)
+    for got, want in ((x.grad, np.concatenate([x_fw, x_bw], axis=-1)),
+                      (wh.grad, np.stack([wh_fw, wh_bw]))):
+        assert np.abs(got - want).max() < 1e-12
+    for bad in ((x, ad.tensor(rnd((2, 3, 16)))),
+                (ad.narrow(x, 2, 0, 16), wh)):
+        with pytest.raises(ValueError, match="lstm_bidir"):
+            ad.lstm_bidir(*bad)
 
 
 def test_affine_matches_matmul_add():
@@ -348,22 +362,28 @@ def _attention_composition(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
 
 def _attention_inputs(b, l_q, l_kv, d_k, heads, rank, seed, cross,
                       make=ad.tensor):
-    """(x_q, x_kv, [wq, wk, wv, wo], es, fs); x_kv is x_q unless cross."""
+    """(x_q, x_kv, wqkv, wo, e, f); x_kv is x_q unless cross."""
     rng = np.random.default_rng(seed)
     d = heads * d_k
     x_q = make(rng.standard_normal((b, l_q, d)))
     x_kv = make(rng.standard_normal((b, l_kv, d))) if cross else x_q
-    ws = [make(rng.uniform(-1, 1, (d, d))) for _ in range(4)]
-    es = [make(rng.uniform(-1, 1, (rank, l_kv))) for _ in range(heads)]
-    fs = [make(rng.uniform(-1, 1, (rank, l_kv))) for _ in range(heads)]
-    return x_q, x_kv, ws, es, fs
+    ws = rng.uniform(-1, 1, (4, d, d))
+    e = rng.uniform(-1, 1, (heads, rank, l_kv))
+    f = rng.uniform(-1, 1, (heads, rank, l_kv))
+    return (x_q, x_kv, make(np.concatenate(ws[:3], axis=1)), make(ws[3]),
+            make(e), make(f))
 
 
-def _copied(x_q, x_kv, ws, es, fs):
+def _per_head(x_q, x_kv, wqkv, wo, e, f):
+    """Copies of the inputs as the composition takes them: (x_q, x_kv,
+    [wq, wk, wv, wo], es, fs), with the column blocks of ``wqkv`` and one
+    E and F per head."""
     x_q2 = ad.tensor(x_q.data.copy())
     x_kv2 = x_q2 if x_kv is x_q else ad.tensor(x_kv.data.copy())
-    return (x_q2, x_kv2, *([ad.tensor(t.data.copy()) for t in ts]
-                           for ts in (ws, es, fs)))
+    d = wo.shape[0]
+    ws = [ad.tensor(wqkv.data[:, i * d:(i + 1) * d]) for i in range(3)]
+    return (x_q2, x_kv2, ws + [ad.tensor(wo.data)],
+            [ad.tensor(p) for p in e.data], [ad.tensor(p) for p in f.data])
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,12 +397,10 @@ def test_projected_attention_matches_composition(site, heads, d_k, b, l_kv,
     fused_in = _attention_inputs(b, l_q, l_kv, d_k, heads, rank,
                                  data.draw(st.integers(0, 2**16)),
                                  cross=site == "cross")
-    ref_in = _copied(*fused_in)
+    ref_in = _per_head(*fused_in)
     mask = ht._causal_mask(l_q, rank) if site == "causal" else None
     logit_scale = 1.0 / np.sqrt(heads * d_k)
-    x_q, x_kv, ws, es, fs = fused_in
-    fused, attn = ad.projected_attention(x_q, x_kv, *ws, es, fs, logit_scale,
-                                         mask)
+    fused, attn = ad.projected_attention(*fused_in, logit_scale, mask)
     ref = _attention_composition(ref_in[0], ref_in[1], *ref_in[2],
                                  ref_in[3], ref_in[4], logit_scale, mask)
     assert attn.shape == (b, heads, l_q, rank)
@@ -391,21 +409,27 @@ def test_projected_attention_matches_composition(site, heads, d_k, b, l_kv,
     fused.backward(seed)
     ref.backward(seed)
 
-    def leaves(x_q, x_kv, ws, es, fs):
-        return [x_q] + ([x_kv] if x_kv is not x_q else []) + ws + es + fs
+    def inputs(x_q, x_kv):
+        return [x_q.grad] + ([x_kv.grad] if x_kv is not x_q else [])
 
-    for got, want in zip(leaves(*fused_in), leaves(*ref_in)):
-        err = np.abs(got.grad - want.grad).max()
-        assert err <= 1e-12 * np.abs(want.grad).max()
+    x_q, x_kv, wqkv, wo, e, f = fused_in
+    ws, es, fs = ref_in[2:]
+    pairs = list(zip(inputs(x_q, x_kv), inputs(*ref_in[:2]))) + [
+        (wqkv.grad, np.concatenate([w.grad for w in ws[:3]], axis=1)),
+        (wo.grad, ws[3].grad),
+        (e.grad, np.stack([p.grad for p in es])),
+        (f.grad, np.stack([p.grad for p in fs]))]
+    for got, want in pairs:
+        err = np.abs(got - want).max()
+        assert err <= 1e-12 * np.abs(want).max()
 
 
 def test_softmax_rows_sum_to_one():
     # the softmax inside projected_attention: at logit_scale 1e3 the logits
     # reach thousands, where an exp without the row max subtracted overflows
-    x_q, x_kv, ws, es, fs = _attention_inputs(2, 6, 7, 2, 3, 5, seed=2,
-                                              cross=True)
+    inputs = _attention_inputs(2, 6, 7, 2, 3, 5, seed=2, cross=True)
     for logit_scale in (1.0, 1e3):
-        _, attn = ad.projected_attention(x_q, x_kv, *ws, es, fs, logit_scale)
+        _, attn = ad.projected_attention(*inputs, logit_scale)
         assert attn.shape == (2, 3, 6, 5) and np.isfinite(attn).all()
         assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -415,25 +439,26 @@ def test_softmax_translation_invariance():
     # moving x_kv by a constant row moves every compressed key of a head by
     # the same vector, so every logit of a row moves by the same amount,
     # which the softmax ignores
-    x_q, x_kv, ws, es, fs = _attention_inputs(2, 5, 9, 2, 2, 4, seed=3,
-                                              cross=True, make=ad.const)
-    es = [ad.const(np.abs(e.data) / np.abs(e.data).sum(axis=1, keepdims=True))
-          for e in es]
-    out, base = ad.projected_attention(x_q, x_kv, *ws, es, fs, 1.0)
+    x_q, x_kv, wqkv, wo, e, f = _attention_inputs(2, 5, 9, 2, 2, 4, seed=3,
+                                                  cross=True, make=ad.const)
+    e = ad.const(np.abs(e.data) / np.abs(e.data).sum(axis=-1, keepdims=True))
+    out, base = ad.projected_attention(x_q, x_kv, wqkv, wo, e, f, 1.0)
     moved = ad.const(x_kv.data + rnd((1, 1, 4), seed=4, lo=-5, hi=5))
-    moved_out, attn = ad.projected_attention(x_q, moved, *ws, es, fs, 1.0)
+    moved_out, attn = ad.projected_attention(x_q, moved, wqkv, wo, e, f, 1.0)
     assert np.abs(attn - base).max() < 1e-12
     assert np.abs(moved_out.data - out.data).max() > 1e-3  # values do move
 
 
 def test_projected_attention_rejects_bad_shapes():
-    x_q, x_kv, ws, es, fs = _attention_inputs(1, 3, 4, 2, 2, 3, seed=5,
-                                              cross=True)
+    x_q, x_kv, wqkv, wo, e, f = _attention_inputs(1, 3, 4, 2, 2, 3, seed=5,
+                                                  cross=True)
     with pytest.raises(ValueError, match="rank 3 exceeds sequence length 2"):
-        ad.projected_attention(x_q, ad.narrow(x_kv, 1, 0, 2), *ws, es, fs, 1.0)
-    for bad in ((x_q, x_kv, *ws, es, fs[:1], 1.0),
-                (x_q, x_q, *ws, es, fs, 1.0),
-                (x_q, x_kv, ws[0], ws[1], ws[2], _t((3, 4), 6), es, fs, 1.0)):
+        ad.projected_attention(x_q, ad.narrow(x_kv, 1, 0, 2), wqkv, wo, e, f,
+                               1.0)
+    for bad in ((x_q, x_kv, wqkv, wo, e, ad.narrow(f, 0, 0, 1), 1.0),
+                (x_q, x_q, wqkv, wo, e, f, 1.0),
+                (x_q, x_kv, wo, wo, e, f, 1.0),
+                (x_q, x_kv, wqkv, _t((3, 4), 6), e, f, 1.0)):
         with pytest.raises(ValueError, match="projected_attention"):
             ad.projected_attention(*bad)
 
@@ -574,9 +599,9 @@ def test_checkpoint_skip_still_rejects_trailing_bytes(tmp_path):
 
 def test_ops_on_constants_record_nothing():
     c1, c2 = ad.const(rnd((2, 3), seed=51)), ad.const(rnd((3, 4), seed=52))
-    x_q, x_kv, ws, es, fs = _attention_inputs(1, 2, 3, 1, 2, 2, seed=58,
-                                              cross=True, make=ad.const)
-    attended, _ = ad.projected_attention(x_q, x_kv, *ws, es, fs, 1.0)
+    attended, _ = ad.projected_attention(
+        *_attention_inputs(1, 2, 3, 1, 2, 2, seed=58, cross=True,
+                           make=ad.const), 1.0)
     for out in (ad.add(c1, c1), ad.affine(c1, c2, ad.const(np.zeros((1, 4)))),
                 ad.sin(c1), attended,
                 ad.lstm_bidir(*(ad.const(t.data) for t in
@@ -626,14 +651,14 @@ def _smooth_l1_case():
 
 def _attention_case(site):
     cross = site == "cross"
-    x_q, x_kv, ws, es, fs = _attention_inputs(2, 3, 4 if cross else 3, 2, 2,
-                                              2, seed=63, cross=cross)
+    inputs = _attention_inputs(2, 3, 4 if cross else 3, 2, 2, 2, seed=63,
+                               cross=cross)
     mask = ht._causal_mask(3, 2) if site == "causal" else None
 
     def fn():
-        out, _ = ad.projected_attention(x_q, x_kv, *ws, es, fs, 0.5, mask)
+        out, _ = ad.projected_attention(*inputs, 0.5, mask)
         return _weighted_sum([out], seed=60)
-    return fn, [x_q] + ([x_kv] if cross else []) + ws + es + fs
+    return fn, [inputs[0]] + list(inputs[1 if cross else 2:])
 
 
 # Each case's id is pinned, so deleting a row leaves the ids of the others as

@@ -479,32 +479,59 @@ def test_checkpoint_settings_are_the_run_config(tmp_path, dataset_path):
     assert meta["settings"] == RunConfig(**meta["settings"]).to_dict()
 
 
-# The layout of ``meta["settings"]`` in checkpoints written while training
-# kept its own 15-key settings type beside the run configuration: 14 run
-# keys plus a gradient-clipping cap that was always 0.
-OLD_SETTINGS_KEYS = ("mode", "epochs", "batch_size", "lr", "lr_decay",
-                     "lr_decay_every", "weight_decay", "beta", "stride",
-                     "train_frac", "seed", "checkpoint_every", "alpha_max",
-                     "dropout")
-
-
-def test_old_settings_layout_evaluates_and_resumes(tmp_path, dataset_path):
+def test_checkpoint_of_another_kind_exits_1(tmp_path, dataset_path, capsys):
+    # a checkpoint in the per-head and per-direction layout that the
+    # current kind replaced: its own tensor names, its own kind
     old = str(tmp_path / "old.bin")
     assert cli.main(train_args(dataset_path, old, epochs=1)) == 0
     arrays, meta = ad.load_checkpoint(old)
-    meta["settings"] = {k: meta["settings"][k] for k in OLD_SETTINGS_KEYS}
-    meta["settings"]["grad_clip"] = 0.0
+    arrays["enc.0.attn.wq"] = arrays.pop("enc.0.attn.wqkv")[:, :8]
+    meta["kind"] = "ddgen-train"
     ad.save_checkpoint(old, arrays, meta)
+    for args in (["evaluate", "--checkpoint", old, "--dataset", dataset_path,
+                  "--out", str(tmp_path / "ev")],
+                 ["summary", "--checkpoint", old],
+                 train_args(dataset_path, str(tmp_path / "res.bin"))
+                 + ["--resume", old]):
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "'ddgen-train'" in err and "'ddgen-train/2'" in err
 
-    assert cli.main(["evaluate", "--checkpoint", old, "--dataset",
-                     dataset_path, "--out", str(tmp_path / "ev")]) == 0
-    full, resumed = str(tmp_path / "full.bin"), str(tmp_path / "res.bin")
-    assert cli.main(train_args(dataset_path, full, epochs=2)) == 0
-    assert cli.main(train_args(dataset_path, resumed, epochs=2)
-                    + ["--resume", old]) == 0
-    last_rows = [open(p + ".trace.txt").read().splitlines()[-1]
-                 for p in (full, resumed)]
-    assert last_rows[0].startswith("2 ") and last_rows[0] == last_rows[1]
+
+# sha256 of the loss traces of the README's desk model after 3 epochs, in
+# each mode, pinned when each attention head and LSTM direction stored its
+# own tensors: storing them in the fused ops' layout left training bit for
+# bit as it was
+DESK_TRACE_DIGESTS = {
+    "gen": "2cfff49e878a02e0868845a06c6b0177b4043fcdbf71bf8ee930a880c8094503",
+    "pred": "bab3e9002adcaab2f0d26d22186bfaf52c8fdfae026a8c500250aa2d1bf9997b",
+}
+
+
+@pytest.fixture(scope="module")
+def desk_dataset(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("desk") / "train.txt")
+    assert cli.main(["gen", "--out", path, "--seed", "7", "--steps", "200",
+                     "--trajectories", "10", "--delta2d", "5",
+                     "--set", "n_scatterers=5", "--set", "hold_min=10",
+                     "--set", "hold_max=50"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("mode", ["gen", "pred"])
+def test_desk_trace_bits_pinned(tmp_path, desk_dataset, mode):
+    out = str(tmp_path / "desk.ckpt")
+    assert cli.main([
+        "train", "--dataset", desk_dataset, "--out", out, "--mode", mode,
+        "--seed", "1", "--set", "n_scatterers=5", "--set", "d_model=32",
+        "--set", "heads=2", "--set", "rank=8", "--set", "ffn_dim=32",
+        "--set", "bilstm_hidden=16", "--set", "bilstm_layers=1",
+        "--set", "enc_layers=1", "--set", "dec_layers=1", "--set", "lag=20",
+        "--set", "window=10", "--set", "epochs=3", "--set", "batch_size=64",
+        "--set", "stride=2", "--set", "lr=1.5e-3"]) == 0
+    assert _sha256(out + ".trace.txt") == DESK_TRACE_DIGESTS[mode]
 
 
 def _config_reads(paths):

@@ -14,10 +14,10 @@ def dense_mha_oracle(x, params, prefix, heads, d_model, causal=False):
     seq = x.shape[0]
     d_k = d_model // heads
     outs = []
+    wqkv = params[prefix + ".wqkv"].data
     for i in range(heads):
-        wq = params[prefix + ".wq"].data[:, i * d_k:(i + 1) * d_k]
-        wk = params[prefix + ".wk"].data[:, i * d_k:(i + 1) * d_k]
-        wv = params[prefix + ".wv"].data[:, i * d_k:(i + 1) * d_k]
+        wq, wk, wv = (wqkv[:, j * d_model + i * d_k:j * d_model + (i + 1) * d_k]
+                      for j in range(3))
         q, k, v = x @ wq, x @ wk, x @ wv
         logits = q @ k.T / math.sqrt(d_model)
         if causal:
@@ -35,9 +35,8 @@ def make_attention_site(d_model, heads, rank, kv_len, seed=0, identity=False):
     rng = np.random.default_rng(seed)
     ht.attention_params(params, "site", d_model, heads, rank, kv_len, rng)
     if identity:
-        for i in range(heads):
-            params["site.e%d" % i] = ad.tensor(np.eye(kv_len))
-            params["site.f%d" % i] = ad.tensor(np.eye(kv_len))
+        params["site.e"] = ad.tensor(np.tile(np.eye(kv_len), (heads, 1, 1)))
+        params["site.f"] = ad.tensor(np.tile(np.eye(kv_len), (heads, 1, 1)))
     return params
 
 
@@ -118,7 +117,7 @@ def test_projected_equals_dense_with_identity_projections():
                                      seed=trial, identity=True)
         x = rng.standard_normal((seq, d_model))
         out = ht.projected_mha(ad.const(x[None]), ad.const(x[None]), params,
-                               "site", heads, d_model)
+                               "site")
         want = dense_mha_oracle(x, params, "site", heads, d_model)
         assert np.abs(out.data[0] - want).max() < 1e-10
 
@@ -130,7 +129,7 @@ def test_projected_causal_equals_dense_causal_with_identity():
                                  seed=9, identity=True)
     x = rng.standard_normal((seq, d_model))
     out = ht.projected_mha(ad.const(x[None]), ad.const(x[None]), params,
-                           "site", heads, d_model, causal=True)
+                           "site", causal=True)
     want = dense_mha_oracle(x, params, "site", heads, d_model, causal=True)
     assert np.abs(out.data[0] - want).max() < 1e-10
 
@@ -142,20 +141,20 @@ def test_causal_mask_blocks_future_positions():
     params = make_attention_site(d_model, heads, rank=seq, kv_len=seq,
                                  seed=11, identity=True)
     x = rng.standard_normal((1, seq, d_model))
-    base = ht.projected_mha(ad.const(x), ad.const(x), params, "site", heads,
-                            d_model, causal=True).data
+    base = ht.projected_mha(ad.const(x), ad.const(x), params, "site",
+                            causal=True).data
     for t in range(seq - 1):
         bumped = x.copy()
         bumped[0, t + 1:] += rng.standard_normal((seq - t - 1, d_model))
         out = ht.projected_mha(ad.const(bumped), ad.const(bumped), params,
-                               "site", heads, d_model, causal=True).data
+                               "site", causal=True).data
         assert np.abs(out[0, :t + 1] - base[0, :t + 1]).max() < 1e-12
 
 
 def test_context_matrix_rows_sum_to_one(attention_weights):
     params = make_attention_site(8, 2, rank=3, kv_len=12, seed=12)
     x = ad.const(np.random.default_rng(8).standard_normal((2, 12, 8)))
-    ht.projected_mha(x, x, params, "site", 2, 8)
+    ht.projected_mha(x, x, params, "site")
     assert len(attention_weights) == 1
     for mat in attention_weights:
         assert mat.shape == (2, 2, 12, 3)
@@ -170,7 +169,7 @@ def test_context_storage_scales_linearly(attention_weights):
                                      seed=13)
         x = ad.const(np.random.default_rng(9).standard_normal((1, seq, d_model)))
         attention_weights.clear()
-        ht.projected_mha(x, x, params, "site", heads, d_model)
+        ht.projected_mha(x, x, params, "site")
         counts[seq] = sum(attn.size for attn in attention_weights)
         assert counts[seq] == heads * seq * rank
     assert counts[32] == 2 * counts[16]
@@ -180,27 +179,27 @@ def test_projection_rank_exceeding_length_rejected():
     params = make_attention_site(8, 2, rank=6, kv_len=6, seed=14)
     x = ad.const(np.zeros((1, 4, 8)))  # shorter than the projection width
     with pytest.raises(ValueError, match="rank"):
-        ht.projected_mha(x, x, params, "site", 2, 8)
+        ht.projected_mha(x, x, params, "site")
 
 
 def test_head_permutation_invariance():
     d_model, heads, seq, d_k = 12, 3, 9, 4
     params = make_attention_site(d_model, heads, rank=5, kv_len=seq, seed=15)
     x = ad.const(np.random.default_rng(10).standard_normal((1, seq, d_model)))
-    base = ht.projected_mha(x, x, params, "site", heads, d_model).data
+    base = ht.projected_mha(x, x, params, "site").data
 
     perm = [2, 0, 1]
+    # the columns of head i in each of the Q, K and V blocks, then the rows
+    # of wo and the E/F slices of that head, all moved to position perm^-1
+    cols = [j * d_model + i * d_k + c for j in range(3) for i in perm
+            for c in range(d_k)]
+    rows = [i * d_k + c for i in perm for c in range(d_k)]
     permuted = dict(params)
-    for w in ("wq", "wk", "wv"):
-        blocks = [params["site." + w].data[:, i * d_k:(i + 1) * d_k]
-                  for i in perm]
-        permuted["site." + w] = ad.tensor(np.concatenate(blocks, axis=1))
-    wo_blocks = [params["site.wo"].data[i * d_k:(i + 1) * d_k] for i in perm]
-    permuted["site.wo"] = ad.tensor(np.concatenate(wo_blocks, axis=0))
-    for new_i, old_i in enumerate(perm):
-        permuted["site.e%d" % new_i] = params["site.e%d" % old_i]
-        permuted["site.f%d" % new_i] = params["site.f%d" % old_i]
-    out = ht.projected_mha(x, x, permuted, "site", heads, d_model).data
+    permuted["site.wqkv"] = ad.tensor(params["site.wqkv"].data[:, cols])
+    permuted["site.wo"] = ad.tensor(params["site.wo"].data[rows])
+    for p in ("e", "f"):
+        permuted["site." + p] = ad.tensor(params["site." + p].data[perm])
+    out = ht.projected_mha(x, x, permuted, "site").data
     assert np.abs(out - base).max() < 1e-10
 
 
@@ -215,11 +214,9 @@ def test_bilstm_single_step():
 
 def test_bilstm_zero_weights_zero_output():
     hidden, d_in = 3, 4
-    params = {}
-    for d in ("fw", "bw"):
-        params["lstm.0.%s.wx" % d] = ad.tensor(np.zeros((d_in, 4 * hidden)))
-        params["lstm.0.%s.wh" % d] = ad.tensor(np.zeros((hidden, 4 * hidden)))
-        params["lstm.0.%s.b" % d] = ad.tensor(np.zeros((1, 1, 4 * hidden)))
+    params = {"lstm.0.wx": ad.tensor(np.zeros((d_in, 8 * hidden))),
+              "lstm.0.wh": ad.tensor(np.zeros((2, hidden, 4 * hidden))),
+              "lstm.0.b": ad.tensor(np.zeros((1, 1, 8 * hidden)))}
     x = ad.const(np.random.default_rng(12).uniform(-1, 1, (1, 5, d_in)))
     out = ht.bilstm_forward(x, params, "lstm", hidden)
     assert np.all(out.data == 0.0)
@@ -231,9 +228,12 @@ def test_bilstm_reversal_symmetry():
     hidden, d_in, t_len = 3, 4, 6
     rng = np.random.default_rng(13)
     params = {}
-    ht._lstm_params(params, "lstm.0.fw", d_in, hidden, rng)
-    for k in ("wx", "wh", "b"):
-        params["lstm.0.bw." + k] = params["lstm.0.fw." + k]
+    ht._lstm_params(params, "lstm.0", d_in, hidden, rng)
+    gates = 4 * hidden
+    for k in ("wx", "b"):  # the backward half copies the forward half
+        params["lstm.0." + k].data[..., gates:] = params["lstm.0." + k].data[
+            ..., :gates]
+    params["lstm.0.wh"].data[1] = params["lstm.0.wh"].data[0]
     x = rng.uniform(-1, 1, (1, t_len, d_in))
     out = ht.bilstm_forward(ad.const(x), params, "lstm", hidden).data
     out_rev = ht.bilstm_forward(ad.const(x[:, ::-1].copy()), params, "lstm",
@@ -296,6 +296,18 @@ def test_zeroing_bilstm_branch_recovers_decoder_path():
     want = linear(dec, "head").data
     assert np.abs(no_branch - want).max() < 1e-12
     assert np.abs(full - no_branch).max() > 0  # the branch does contribute
+
+
+def test_one_backward_reaches_every_parameter():
+    # every stored tensor is read by the forward: an unread one would keep
+    # its None gradient and only take weight decay
+    cfg = tiny_model_config(enc_layers=2, dec_layers=2, bilstm_layers=2)
+    params = ht.init_params(cfg, seed=10)
+    hist = np.random.default_rng(19).uniform(0, 1, (2, cfg.lag,
+                                                    cfg.feature_dim))
+    ad.mean_all(ad.square(ht.hybrid_forward(hist, cfg, params))).backward()
+    assert [name for name, t in params.items() if t.grad is None] == []
+    assert all(t.grad.shape == t.data.shape for t in params.values())
 
 
 def test_hybrid_rejects_wrong_history_shape():
