@@ -8,8 +8,13 @@ from the node gradient; an op whose inputs are all constants returns a
 constant and records nothing. Backward closures compute no gradient for a
 constant operand, so a constant's ``.grad`` stays ``None``.
 ``Tensor.backward`` walks the recorded graph once in reverse topological
-order. Gradients accumulate additively across repeated backward calls until
-``zero_grad`` is invoked.
+order and releases it as it goes: once a node's closure has run, the node
+drops its gradient, its closure and its parents, so each saved value is
+freed as soon as the backward has read it. A released graph refuses a
+second backward with a ``RuntimeError``; run the forward again to
+differentiate again. Leaves keep their ``.grad``, and gradients from the
+backward calls of separate graphs add up in them until ``zero_grad`` is
+invoked.
 
 Gradient arrays are never written in place, because ``_accum`` hands the
 same array to several nodes without copying.
@@ -52,7 +57,8 @@ class Tensor:
         return float(self.data)
 
     def backward(self, seed=None):
-        """Accumulate gradients of this node w.r.t. every graph ancestor."""
+        """Accumulate gradients of this node w.r.t. every graph ancestor,
+        releasing the graph behind it; only the leaves keep gradients."""
         if seed is None:
             seed = np.ones_like(self.data)
         else:
@@ -62,9 +68,12 @@ class Tensor:
                                  % (seed.shape, self.data.shape))
         order = _toposort(self)
         _accum(self, seed)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                # a released node: None parents mark it as spent
+                node.grad = node._backward = node._parents = None
 
     def __repr__(self):
         return "Tensor(shape=%s)" % (self.data.shape,)
@@ -81,6 +90,10 @@ def _toposort(root):
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node._parents is None:
+            raise RuntimeError(
+                "backward: the graph was released by an earlier backward; "
+                "run the forward again to differentiate again")
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in visited:
@@ -352,19 +365,36 @@ def db_to_linear(a):
 # ---------------------------------------------------------------------------
 # composite ops
 
-def layer_norm(a, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift.
+def add_layer_norm(x, a, gamma, beta, keep=None, p=0.0, eps=1e-5):
+    """``layer_norm(x + a * keep / (1 - p))`` as one node: a residual sum
+    whose branch ``a`` passes inverted dropout, normalized over the last
+    axis, then scaled and shifted.
 
-    ``gamma`` and ``beta`` hold one entry per position of that axis. The
-    variance is ``np.var``'s sum of squared deviations over n.
+    ``keep`` is a boolean array of ``a``'s shape, the entries dropout keeps
+    at rate ``p``; with ``keep=None`` the sum is plain ``x + a``. ``gamma``
+    and ``beta`` hold one entry per position of the last axis. The variance
+    is ``np.var``'s sum of squared deviations over n. Values and gradients
+    are those of the add/mul/layer-norm composition: ``x`` gets the
+    layer-norm input gradient, ``a`` that gradient times ``keep / (1 - p)``.
     """
-    n = a.data.shape[-1]
-    for p in (gamma, beta):
-        if p.data.size != n or p.data.shape[-1] != n:
-            raise ValueError("layer_norm: gamma/beta %s must hold the %d "
+    n = x.data.shape[-1]
+    if a.data.shape != x.data.shape or (keep is not None
+                                        and keep.shape != x.data.shape):
+        raise ValueError("add_layer_norm: residual %s, branch %s and keep "
+                         "mask %s must have one shape"
+                         % (x.data.shape, a.data.shape,
+                            None if keep is None else keep.shape))
+    for t in (gamma, beta):
+        if t.data.size != n or t.data.shape[-1] != n:
+            raise ValueError("add_layer_norm: gamma/beta %s must hold the %d "
                              "entries of the last axis of %s"
-                             % (p.data.shape, n, a.data.shape))
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+                             % (t.data.shape, n, x.data.shape))
+    if keep is None:
+        xhat = x.data + a.data
+    else:
+        xhat = a.data * (keep / (1.0 - p))
+        xhat += x.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -377,18 +407,22 @@ def layer_norm(a, gamma, beta, eps=1e-5):
                    .reshape(gamma.data.shape))
         if beta.requires_grad:
             _accum(beta, g.reshape(-1, n).sum(axis=0).reshape(beta.data.shape))
+        if not (x.requires_grad or a.requires_grad):
+            return
+        # (gg - mean(gg) - xhat * mean(gg * xhat)) * inv, gg = g * gamma
+        gg = g * gamma.data
+        m1 = gg.sum(axis=-1, keepdims=True) / n
+        t = gg * xhat
+        m2 = t.sum(axis=-1, keepdims=True) / n
+        np.multiply(xhat, m2, out=t)
+        gg -= m1
+        gg -= t
+        gg *= inv
+        if x.requires_grad:
+            _accum(x, gg)
         if a.requires_grad:
-            # (gg - mean(gg) - xhat * mean(gg * xhat)) * inv, gg = g * gamma
-            gg = g * gamma.data
-            m1 = gg.sum(axis=-1, keepdims=True) / n
-            t = gg * xhat
-            m2 = t.sum(axis=-1, keepdims=True) / n
-            np.multiply(xhat, m2, out=t)
-            gg -= m1
-            gg -= t
-            gg *= inv
-            _accum(a, gg)
-    return _node(y, (a, gamma, beta), back)
+            _accum(a, gg if keep is None else gg * (keep / (1.0 - p)))
+    return _node(y, (x, a, gamma, beta), back)
 
 
 def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale, mask=None):
@@ -568,8 +602,10 @@ def lstm_bidir(x, wh):
         cs[:, s + 1] = c
         tcs[:, s] = np.tanh(c)
         hs[:, s + 1] = o * tcs[:, s]
-    out = np.concatenate([hs[0, 1:].transpose(1, 0, 2),
-                          hs[1, :0:-1].transpose(1, 0, 2)], axis=-1)
+    # C-contiguous, so a consumer's reshape(-1, 2H) is a view, not a copy
+    out = np.empty((b, t_len, 2 * hid))
+    out[..., :hid] = hs[0, 1:].transpose(1, 0, 2)
+    out[..., hid:] = hs[1, :0:-1].transpose(1, 0, 2)
 
     def back(g):
         gh = np.stack([g[..., :hid].transpose(1, 0, 2),

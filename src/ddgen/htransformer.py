@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adtensor import (Tensor, add, affine, concat, const, layer_norm,
-                       lstm_bidir, mean_axis, mul, narrow, projected_attention,
+from .adtensor import (Tensor, add, add_layer_norm, affine, concat, const,
+                       lstm_bidir, mean_axis, narrow, projected_attention,
                        relu, repeat, square, sub, tensor)
 
 NEG_MASK = -1.0e30
@@ -239,11 +239,14 @@ def projected_mha(x_q, x_kv, params, prefix, causal=False):
     return out
 
 
-def _dropout(t, p, training, rng):
-    if not training or p <= 0.0 or rng is None:
-        return t
-    mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
-    return mul(t, const(mask))
+def _residual(x, a, params, name, cfg, training, rng):
+    """The layer norm ``name`` of ``x`` plus the sublayer output ``a``,
+    which passes inverted dropout while training."""
+    keep = None
+    if training and cfg.dropout > 0.0 and rng is not None:
+        keep = rng.random(a.data.shape) >= cfg.dropout
+    return add_layer_norm(x, a, params[name + ".g"], params[name + ".b"],
+                          keep, cfg.dropout)
 
 
 def _linear(x, params, name):
@@ -257,23 +260,18 @@ def _ffn(x, params, prefix):
 
 def _encoder_layer(x, params, prefix, cfg, training, rng):
     a = projected_mha(x, x, params, prefix + ".attn")
-    x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
-                   params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
+    x = _residual(x, a, params, prefix + ".ln1", cfg, training, rng)
     f = _ffn(x, params, prefix)
-    return layer_norm(add(x, _dropout(f, cfg.dropout, training, rng)),
-                      params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+    return _residual(x, f, params, prefix + ".ln2", cfg, training, rng)
 
 
 def _decoder_layer(x, memory, params, prefix, cfg, training, rng):
     a = projected_mha(x, x, params, prefix + ".self", causal=True)
-    x = layer_norm(add(x, _dropout(a, cfg.dropout, training, rng)),
-                   params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
+    x = _residual(x, a, params, prefix + ".ln1", cfg, training, rng)
     c = projected_mha(x, memory, params, prefix + ".cross")
-    x = layer_norm(add(x, _dropout(c, cfg.dropout, training, rng)),
-                   params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
+    x = _residual(x, c, params, prefix + ".ln2", cfg, training, rng)
     f = _ffn(x, params, prefix)
-    return layer_norm(add(x, _dropout(f, cfg.dropout, training, rng)),
-                      params[prefix + ".ln3.g"], params[prefix + ".ln3.b"])
+    return _residual(x, f, params, prefix + ".ln3", cfg, training, rng)
 
 
 def bilstm_forward(x, params, prefix, hidden, layers=1):

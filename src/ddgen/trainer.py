@@ -496,6 +496,9 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
             batch = starts[batch_idx]
             hist, targ = gather_window_arrays(rows_scaled, batch,
                                               model_cfg.lag, model_cfg.window)
+            # the last step's parameter gradients are spent: free them
+            # before this forward allocates
+            opt.zero_grad()
             out = hybrid_forward(hist, model_cfg, params, training=True,
                                  dropout_rng=rng)
             try:
@@ -512,12 +515,12 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(
                     "non-finite loss at epoch %d" % (epoch + 1), last_good)
-            opt.zero_grad()
             loss.backward()
             opt.step(lr)
             total_loss += loss_val * len(batch)
-            # the step's graph holds every intermediate and its gradient:
-            # free it before the next forward (or the final save) builds more
+            # backward released the step's graph as it walked it; only the
+            # output and loss values are left, dropped here so that nothing
+            # of this step lives through the next forward or the final save
             del out, loss
         mean_loss = total_loss / len(starts)
         trace.append((epoch + 1, mean_loss, lr))

@@ -243,6 +243,8 @@ def test_lstm_bidir_matches_composition():
     fused = ad.lstm_bidir(x, wh)
     ref = _lstm_composition(*ref_in)
     assert np.array_equal(fused.data, ref.data)
+    # laid out so that the next affine's reshape is a view
+    assert fused.data.flags.c_contiguous
     seed = rnd(fused.shape, seed=46)
     fused.backward(seed)
     ref.backward(seed)
@@ -276,10 +278,12 @@ def test_affine_matches_matmul_add():
 
 def test_layer_norm_gradient():
     x = ad.tensor(rnd((2, 3, 8), seed=17))
+    a = ad.tensor(rnd((2, 3, 8), seed=18))
     g = ad.tensor(np.ones((1, 1, 8)))
     b = ad.tensor(np.zeros((1, 1, 8)))
     err = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.layer_norm(x, g, b))), [x, g, b])
+        lambda: ad.sum_all(ad.square(ad.add_layer_norm(x, a, g, b))),
+        [x, a, g, b])
     assert err < 1e-6
 
 
@@ -306,19 +310,35 @@ def _layer_norm_reference(a, gamma, beta, eps=1e-5):
     ((2, 3, 1), (1, 1, 1)),
 ])
 def test_layer_norm_matches_previous_formula(shape, affine_shape):
-    fused_in = (_t(shape, 71, -3, 3), _t(affine_shape, 72, 0.5, 2.0),
-                _t(affine_shape, 73))
-    ref_in = [ad.tensor(t.data.copy()) for t in fused_in]
-    fused = ad.layer_norm(*fused_in)
-    ref = _layer_norm_reference(*ref_in)
-    assert np.array_equal(fused.data, ref.data)
-    seed = rnd(shape, seed=74)
-    fused.backward(seed)
-    ref.backward(seed)
-    for got, want in zip(fused_in, ref_in):
-        assert np.array_equal(got.grad, want.grad)
-    with pytest.raises(ValueError, match="layer_norm"):
-        ad.layer_norm(fused_in[0], _t((1, 1, 2), 75), fused_in[2])
+    # add_layer_norm against its composition: the residual add, the
+    # inverted-dropout mul and the layer norm as first written, bit for bit
+    keep = rnd(shape, seed=76, lo=0.0, hi=1.0) >= 0.25
+    for mask in (None, keep):
+        fused_in = (_t(shape, 71, -3, 3), _t(shape, 77, -3, 3),
+                    _t(affine_shape, 72, 0.5, 2.0), _t(affine_shape, 73))
+        ref_in = [ad.tensor(t.data.copy()) for t in fused_in]
+        fused = ad.add_layer_norm(*fused_in, keep=mask, p=0.25)
+        x, a, gamma, beta = ref_in
+        if mask is not None:
+            a = ad.mul(a, ad.const(mask / (1 - 0.25)))
+        ref = _layer_norm_reference(ad.add(x, a), gamma, beta)
+        assert np.array_equal(fused.data, ref.data)
+        seed = rnd(shape, seed=74)
+        fused.backward(seed)
+        ref.backward(seed)
+        for got, want in zip(fused_in, ref_in):
+            assert np.array_equal(got.grad, want.grad)
+
+
+def test_add_layer_norm_rejects_bad_shapes():
+    x, a = _t((2, 3, 4), 78), _t((2, 3, 4), 79)
+    gamma, beta = _t((1, 1, 4), 80), _t((1, 1, 4), 81)
+    for args, kwargs in (((x, _t((2, 1, 4), 82), gamma, beta), {}),
+                         ((x, a, gamma, beta), {"keep": np.ones((2, 3, 1), bool),
+                                                "p": 0.1}),
+                         ((x, a, _t((1, 1, 2), 75), beta), {})):
+        with pytest.raises(ValueError, match="add_layer_norm"):
+            ad.add_layer_norm(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +637,51 @@ def test_constant_operands_get_no_gradient():
     b = ad.const(rnd((1, 1, 5), seed=57))
     hidden = ad.affine(ad.mul(ad.add(x, c), c), w, b)
     out = ad.sum_all(ad.concat([hidden, ad.affine(c, w, b)], axis=-1))
+    # only differentiable inputs are kept as parents (backward releases them)
+    assert hidden._parents and all(p.requires_grad for p in hidden._parents)
     out.backward()
     assert c.grad is None and b.grad is None
     assert x.grad is not None and w.grad is not None
-    # only differentiable inputs are kept as parents
-    assert all(p.requires_grad for p in hidden._parents)
+
+
+def _interior(root):
+    """Every recorded node above the leaves of ``root``'s graph."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_releases_interior_nodes():
+    x, w = ad.tensor(rnd((2, 3, 4), seed=83)), ad.tensor(rnd((4, 5), seed=84))
+    b = ad.tensor(rnd((1, 1, 5), seed=85))
+    out = ad.sum_all(ad.square(ad.relu(ad.affine(ad.sin(x), w, b))))
+    interior = _interior(out)
+    assert len(interior) == 5
+    out.backward()
+    for node in interior:
+        assert node.grad is None and node._backward is None
+        assert node._parents is None
+    for leaf in (x, w, b):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+        assert leaf._parents == ()
+
+
+def test_backward_refuses_a_released_graph():
+    x = ad.tensor(rnd((3,), seed=86))
+    hidden = ad.square(x)
+    out = ad.sum_all(hidden)
+    out.backward()
+    grad = x.grad
+    for spent in (out, ad.sum_all(ad.sin(hidden))):
+        with pytest.raises(RuntimeError, match="released by an earlier "
+                                               "backward"):
+            spent.backward()
+    assert x.grad is grad
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +753,15 @@ GRAD_CASES = {
     "relu-26": lambda: _case(ad.relu, _t((3, 4), 36)),
     "db_to_linear-27": lambda: _case(ad.db_to_linear, _t((3, 4), 37, -3, 3)),
     "projected_attention-28": lambda: _attention_case("causal"),
-    "layer_norm-29": lambda: _case(ad.layer_norm, _t((2, 3, 6), 39),
-                                   _t((1, 1, 6), 40), _t((1, 1, 6), 41)),
+    "add_layer_norm-29": lambda: _case(ad.add_layer_norm, _t((2, 3, 6), 39),
+                                       _t((2, 3, 6), 43), _t((1, 1, 6), 40),
+                                       _t((1, 1, 6), 41)),
     "smooth_l1-30": _smooth_l1_case,
     "lstm_bidir-31": lambda: _case(ad.lstm_bidir, *_lstm_inputs(2, 3, 2, 42)),
+    "add_layer_norm-32": lambda: _case(
+        ad.add_layer_norm, _t((2, 3, 6), 44), _t((2, 3, 6), 45),
+        _t((1, 1, 6), 46), _t((1, 1, 6), 47),
+        keep=rnd((2, 3, 6), seed=48, lo=0.0, hi=1.0) >= 0.3, p=0.3),
 }
 # public functions of adtensor that are not differentiable ops
 NOT_OPS = {"tensor", "const", "zero_grad", "grad_check", "save_checkpoint",

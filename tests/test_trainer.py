@@ -673,6 +673,29 @@ def test_train_frees_each_step_graph(tmp_path, monkeypatch):
     assert alive == [0] * (len(outputs) + 1)
 
 
+def test_train_starts_each_forward_without_gradients(tmp_path, monkeypatch):
+    ds, cfg, path = _tiny_training_setup(tmp_path, epochs=2)
+    cfg = dataclasses.replace(cfg, enc_layers=2, dec_layers=2,
+                              bilstm_layers=2, dropout=0.1)
+    stale, backwards = [], []
+
+    def forward(history, model_cfg, params, **kwargs):
+        stale.append([k for k, t in params.items() if t.grad is not None])
+        return real_forward(history, model_cfg, params, **kwargs)
+
+    def backward(node, *args, **kwargs):
+        backwards.append(len(stale))
+        return real_backward(node, *args, **kwargs)
+
+    real_forward, real_backward = trainer.hybrid_forward, ad.Tensor.backward
+    monkeypatch.setattr(trainer, "hybrid_forward", forward)
+    monkeypatch.setattr(ad.Tensor, "backward", backward)
+    trainer.train(ds, cfg, path)
+    # one backward after each forward, and no forward sees a gradient
+    assert len(stale) > 2 and backwards == list(range(1, len(stale) + 1))
+    assert stale == [[]] * len(stale)
+
+
 def test_checkpoint_roundtrip_through_trainer(tmp_path):
     ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
     res = trainer.train(ds, cfg, path)
