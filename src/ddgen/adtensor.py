@@ -425,7 +425,7 @@ def add_layer_norm(x, a, gamma, beta, keep=None, p=0.0, eps=1e-5):
     return _node(y, (x, a, gamma, beta), back)
 
 
-def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale, mask=None):
+def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale):
     """Multi-head attention with keys and values compressed along the
     sequence axis, as one node.
 
@@ -434,11 +434,10 @@ def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale, mask=None):
     (d, d); ``e`` and ``f`` are (h, B, Lkv), one projection per head.
     Head i reads columns i*d_k:(i+1)*d_k of the query, key and value
     projections, with d_k = d / h. Its logits are
-    ``q_i @ (E_i k_i)^T * logit_scale``, plus ``mask`` (an optional constant
-    array broadcast against the (b, h, Lq, B) logits); a softmax over the B
-    slots gives its attention weights, which weight ``F_i v_i``. The heads'
-    outputs side by side go through ``wo``. Values are those of the
-    per-head matmul/softmax composition.
+    ``q_i @ (E_i k_i)^T * logit_scale``; a softmax over the B slots gives
+    its attention weights, which weight ``F_i v_i``. The heads' outputs
+    side by side go through ``wo``. Values are those of the per-head
+    matmul/softmax composition.
 
     A self site (``x_kv is x_q``) projects Q, K and V with one GEMM against
     ``wqkv``; a cross site multiplies ``x_q`` by its first d columns and
@@ -485,8 +484,6 @@ def projected_attention(x_q, x_kv, wqkv, wo, e, f, logit_scale, mask=None):
     v_low = np.matmul(f.data, v)
     attn = np.matmul(q, np.swapaxes(k_low, -1, -2))        # (b, h, Lq, B)
     attn *= logit_scale
-    if mask is not None:
-        attn += mask
     # row-stable softmax; the row max slice by slice, which is exact and
     # faster than a reduction over the short last axis
     top = attn[..., 0].copy()

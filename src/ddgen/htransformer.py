@@ -10,6 +10,10 @@ axis with learned projections, so the context matrix holds L x B entries
 per head instead of L x L. The decoder output is summed with a projected
 BiLSTM pass over the decoder input, and a final affine head emits the
 P-step feature sequence in one shot.
+
+Every attention site, the decoder's self-attention included, is unmasked.
+Both the encoder and the decoder read only the history, and all P steps
+come out of one pass, so no output can see a target step.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import numpy as np
 from .adtensor import (Tensor, add, add_layer_norm, affine, concat, const,
                        lstm_bidir, mean_axis, narrow, projected_attention,
                        relu, repeat, square, sub, tensor)
-
-NEG_MASK = -1.0e30
 
 
 @dataclass
@@ -214,28 +216,20 @@ def positional_encoding(length, d_model):
     return _PE_CACHE[key]
 
 
-def _causal_mask(n_rows, n_cols):
-    mask = np.zeros((n_rows, n_cols))
-    mask[np.arange(n_cols)[None, :] > np.arange(n_rows)[:, None]] = NEG_MASK
-    return mask
-
-
-def projected_mha(x_q, x_kv, params, prefix, causal=False):
+def projected_mha(x_q, x_kv, params, prefix):
     """Multi-head attention with rank-B compressed keys and values.
 
     Keys/values are projected along the sequence axis by the learned E/F
-    stacks of this site, so each head's context matrix is (Lq x B). The
-    causal mask zeroes logits above the diagonal of the compressed slot
-    index; with identity E/F this reduces to ordinary masked attention.
-    The site is one ``projected_attention`` node; its head count is the
-    leading axis of E, and the logits are scaled by 1/sqrt(d_model).
+    stacks of this site, so each head's context matrix is (Lq x B). Every
+    compressed slot mixes all key positions, so the site has no mask: a
+    mask on slot indices would not hide later positions. The site is one
+    ``projected_attention`` node; its head count is the leading axis of E,
+    and the logits are scaled by 1/sqrt(d_model).
     """
-    e, f = params[prefix + ".e"], params[prefix + ".f"]
-    mask = (_causal_mask(x_q.data.shape[1], e.data.shape[1])
-            if causal else None)
     out, _ = projected_attention(
-        x_q, x_kv, params[prefix + ".wqkv"], params[prefix + ".wo"], e, f,
-        1.0 / math.sqrt(x_q.data.shape[-1]), mask)
+        x_q, x_kv, params[prefix + ".wqkv"], params[prefix + ".wo"],
+        params[prefix + ".e"], params[prefix + ".f"],
+        1.0 / math.sqrt(x_q.data.shape[-1]))
     return out
 
 
@@ -266,7 +260,7 @@ def _encoder_layer(x, params, prefix, cfg, training, rng):
 
 
 def _decoder_layer(x, memory, params, prefix, cfg, training, rng):
-    a = projected_mha(x, x, params, prefix + ".self", causal=True)
+    a = projected_mha(x, x, params, prefix + ".self")
     x = _residual(x, a, params, prefix + ".ln1", cfg, training, rng)
     c = projected_mha(x, memory, params, prefix + ".cross")
     x = _residual(x, c, params, prefix + ".ln2", cfg, training, rng)
@@ -306,7 +300,8 @@ def hybrid_forward(history, cfg, params, training=False, dropout_rng=None):
     """Generate the P-step feature sequence from an L-step scaled history.
 
     Returns a (batch, P, feature_dim) tensor; 2-D input is treated as a
-    single-example batch.
+    single-example batch. The decoder input is built from the history
+    only, never from the targets.
     """
     x = _as_batch(history)
     if x.data.shape[1] != cfg.lag or x.data.shape[2] != cfg.feature_dim:

@@ -347,10 +347,12 @@ class TrainResult:
     trace: list  # (epoch, mean_loss, lr)
 
 
-# The checkpoint kind names the parameter layout: "/2" stores each attention
-# site as one Q|K|V matrix and stacked E/F, and each BiLSTM layer as one
-# input projection and stacked recurrent weights. Any other kind is refused.
-CHECKPOINT_KIND = "ddgen-train/2"
+# The checkpoint kind names the parameter layout and the model that computes
+# with it: each attention site is one Q|K|V matrix and stacked E/F, and each
+# BiLSTM layer one input projection and stacked recurrent weights. "/3" has
+# an unmasked decoder self-attention; "/2" stored the same tensors for a
+# decoder that masked it. Any other kind is refused.
+CHECKPOINT_KIND = "ddgen-train/3"
 
 
 def _checkpoint_tensors(params, scaler, opt):
@@ -383,8 +385,8 @@ def load_train_checkpoint(path, optimizer=True):
     With ``optimizer=False`` the AdamW moments are skipped, not read, and
     the opt arrays dict is empty: a run that only evaluates the model needs
     the parameters and the scaler alone. A checkpoint of another kind,
-    such as one in the per-head and per-direction layout, raises
-    ``ConfigError``.
+    such as one in the per-head and per-direction layout or one trained
+    with a masked decoder, raises ``ConfigError``.
     """
     arrays, meta = ad.load_checkpoint(path,
                                       skip=() if optimizer else ("opt.",))

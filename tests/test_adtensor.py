@@ -361,11 +361,10 @@ def _softmax(a):
     return ad._node(y, (a,), back)
 
 
-def _attention_composition(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
-                           mask=None):
+def _attention_composition(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale):
     """The per-head graph ``projected_attention`` fuses: three projections,
-    then per head the E/F compressions, scaled logits, mask, softmax and
-    weighted values, and the heads side by side through ``wo``."""
+    then per head the E/F compressions, scaled logits, softmax and weighted
+    values, and the heads side by side through ``wo``."""
     d_k = wq.shape[1] // len(es)
     q_all, k_all, v_all = (_matmul(x_q, wq), _matmul(x_kv, wk),
                            _matmul(x_kv, wv))
@@ -374,8 +373,6 @@ def _attention_composition(x_q, x_kv, wq, wk, wv, wo, es, fs, logit_scale,
         q, k, v = (ad.narrow(t, 2, i * d_k, d_k) for t in (q_all, k_all, v_all))
         logits = ad.scale(_matmul(q, _transpose_last(_matmul(e, k))),
                           logit_scale)
-        if mask is not None:
-            logits = ad.add(logits, ad.const(mask[None]))
         outs.append(_matmul(_softmax(logits), _matmul(f, v)))
     return _matmul(ad.concat(outs, axis=-1), wo)
 
@@ -407,7 +404,7 @@ def _per_head(x_q, x_kv, wqkv, wo, e, f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["self", "cross", "causal"]), st.integers(1, 4),
+@given(st.sampled_from(["self", "cross"]), st.integers(1, 4),
        st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.data())
 def test_projected_attention_matches_composition(site, heads, d_k, b, l_kv,
                                                  data):
@@ -418,11 +415,10 @@ def test_projected_attention_matches_composition(site, heads, d_k, b, l_kv,
                                  data.draw(st.integers(0, 2**16)),
                                  cross=site == "cross")
     ref_in = _per_head(*fused_in)
-    mask = ht._causal_mask(l_q, rank) if site == "causal" else None
     logit_scale = 1.0 / np.sqrt(heads * d_k)
-    fused, attn = ad.projected_attention(*fused_in, logit_scale, mask)
+    fused, attn = ad.projected_attention(*fused_in, logit_scale)
     ref = _attention_composition(ref_in[0], ref_in[1], *ref_in[2],
-                                 ref_in[3], ref_in[4], logit_scale, mask)
+                                 ref_in[3], ref_in[4], logit_scale)
     assert attn.shape == (b, heads, l_q, rank)
     assert np.abs(fused.data - ref.data).max() <= 1e-12
     seed = rnd(fused.shape, seed=76)
@@ -713,10 +709,9 @@ def _attention_case(site):
     cross = site == "cross"
     inputs = _attention_inputs(2, 3, 4 if cross else 3, 2, 2, 2, seed=63,
                                cross=cross)
-    mask = ht._causal_mask(3, 2) if site == "causal" else None
 
     def fn():
-        out, _ = ad.projected_attention(*inputs, 0.5, mask)
+        out, _ = ad.projected_attention(*inputs, 0.5)
         return _weighted_sum([out], seed=60)
     return fn, [inputs[0]] + list(inputs[1 if cross else 2:])
 
@@ -752,7 +747,6 @@ GRAD_CASES = {
     "cos-23": lambda: _case(ad.cos, _t((3, 4), 33)),
     "relu-26": lambda: _case(ad.relu, _t((3, 4), 36)),
     "db_to_linear-27": lambda: _case(ad.db_to_linear, _t((3, 4), 37, -3, 3)),
-    "projected_attention-28": lambda: _attention_case("causal"),
     "add_layer_norm-29": lambda: _case(ad.add_layer_norm, _t((2, 3, 6), 39),
                                        _t((2, 3, 6), 43), _t((1, 1, 6), 40),
                                        _t((1, 1, 6), 41)),
