@@ -19,8 +19,6 @@ from . import chanstats, gscm, trainer
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .htransformer import ModelConfig, init_params, model_summary
 
-OUT_ROOT_ENV = "DDGEN_OUT_ROOT"
-
 # Reference CDF distances (dB) from full-scale statistics-aided training
 # runs (lag 100, 125K samples, 250 episodes, 3-run averages). Desk-scale
 # runs are not expected to reach these; they are recorded for comparison.
@@ -60,20 +58,12 @@ FULL_SCALE_REFERENCE_DB = {
 }
 
 
-def _out_path(path):
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
 def _resolve_config(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = load_config(args.config, base=cfg)
     overrides = []
-    for flag in ("seed", "steps", "delta2d", "trajectories", "lag", "window",
-                 "mode"):
+    for flag in ("seed", "steps", "delta2d", "trajectories", "mode"):
         val = getattr(args, flag, None)
         if val is not None:
             overrides.append("%s=%s" % (flag, val))
@@ -101,19 +91,17 @@ def _write_manifest(out_path, command, cfg, inputs, outputs):
 
 def cmd_gen(args):
     cfg = _resolve_config(args)
-    out = _out_path(args.out)
     ds = gscm.synthesize_dataset(
         n_paths=cfg.n_scatterers, steps=cfg.steps, seed=cfg.seed,
-        fc_ghz=cfg.fc_ghz, delta2d=cfg.delta2d, bounds=cfg.bounds(),
-        tx=cfg.tx(), rx_start=cfg.rx_start(), heading_count=cfg.heading_count,
+        fc_ghz=cfg.fc_ghz, delta2d=cfg.delta2d,
         trajectories=cfg.trajectories, max_d2d=cfg.max_d2d,
         hold_range=(cfg.hold_min, cfg.hold_max))
-    digests = gscm.write_dataset(ds, out)
-    manifest = _write_manifest(out, "gen", cfg, {},
-                               {"dataset": out, **digests})
+    digests = gscm.write_dataset(ds, args.out)
+    manifest = _write_manifest(args.out, "gen", cfg, {},
+                               {"dataset": args.out, **digests})
     g = ds.rows[:, 3]
     print("wrote %s: %d rows x %d features (%d trajectories)"
-          % (out, ds.rows.shape[0], ds.rows.shape[1], len(ds.traj_steps)))
+          % (args.out, *ds.rows.shape, len(ds.traj_steps)))
     print("total gain dBm: min %.2f  mean %.2f  max %.2f"
           % (g.min(), g.mean(), g.max()))
     print("manifest: %s" % manifest)
@@ -123,17 +111,16 @@ def cmd_gen(args):
 def cmd_train(args):
     cfg = _resolve_config(args)
     ds = gscm.read_dataset(args.dataset)
-    out = _out_path(args.out)
-    result = trainer.train(ds, cfg, out, resume_from=args.resume)
-    trace_path = _out_path(args.trace) if args.trace else out + ".trace.txt"
+    result = trainer.train(ds, cfg, args.out, resume_from=args.resume)
+    trace_path = args.out + ".trace.txt"
     trainer.write_trace(trace_path, result.trace, cfg.to_dict())
-    manifest = _write_manifest(out, "train", cfg,
+    manifest = _write_manifest(args.out, "train", cfg,
                                {"dataset": args.dataset,
                                 "sha256": ds.sha256},
-                               {"checkpoint": out, "trace": trace_path})
+                               {"checkpoint": args.out, "trace": trace_path})
     for epoch, loss, lr in result.trace:
         print("epoch %3d  loss %.6g  lr %.3g" % (epoch, loss, lr))
-    print("checkpoint: %s" % out)
+    print("checkpoint: %s" % args.out)
     print("manifest: %s" % manifest)
     return 0
 
@@ -155,11 +142,6 @@ def cmd_evaluate(args):
     params, scaler, _, meta = trainer.load_train_checkpoint(args.checkpoint,
                                                             optimizer=False)
     model_cfg = ModelConfig.from_dict(meta["model"])
-    if args.lag is not None and args.lag != model_cfg.lag:
-        raise ConfigError("checkpoint was trained with lag=%d" % model_cfg.lag)
-    if args.window is not None and args.window != model_cfg.window:
-        raise ConfigError("checkpoint was trained with window=%d"
-                          % model_cfg.window)
     ds = gscm.read_dataset(args.dataset)
     if ds.n_paths != scaler.n_paths:
         raise ConfigError("checkpoint was trained on %d paths, the dataset "
@@ -185,7 +167,7 @@ def cmd_evaluate(args):
                    "gen": report[name]["gen_values"].tolist()}
             for name in trainer.EVAL_STATS}
 
-    out_dir = _out_path(args.out)
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     payload = {
@@ -285,7 +267,7 @@ def cmd_table(args):
         cells.extend(_read_cells_csv(path))
     text = format_table(cells)
     if args.out:
-        with open(_out_path(args.out), "w") as f:
+        with open(args.out, "w") as f:
             f.write(text)
     print(text, end="")
     return 0
@@ -309,7 +291,7 @@ def _write_cdf_files(cdfs, out_dir):
 def cmd_export_cdfs(args):
     with open(args.report) as f:
         payload = json.load(f)
-    out_dir = _out_path(args.out)
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     written = _write_cdf_files(payload["cdfs"], out_dir)
     if args.svg:
@@ -405,9 +387,6 @@ def build_parser():
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=("gen", "pred"))
-    p.add_argument("--lag", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--trace")
     p.add_argument("--resume")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -416,8 +395,6 @@ def build_parser():
                                         "held-out split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--window", type=int)
     p.add_argument("--stride", type=int)
     p.add_argument("--cdf-grid", type=int, default=chanstats.CDF_GRID_SIZE)
     p.add_argument("--with-untrained", action="store_true",

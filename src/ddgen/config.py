@@ -5,6 +5,10 @@ command-line ``--set key=value`` pairs. ``cli`` resolves it, ``trainer.train``
 takes it as is, and the checkpoint, the loss trace and the train manifest
 all record its ``to_dict()``. ``ModelConfig`` is derived from it and has no
 defaults of its own.
+
+Only what a run varies is a key. The world's fixed geometry (the TX, the
+scatterer box, the RX start and the heading menu) is held by ``gscm``, and
+the fixed learning-rate decay, weight decay and weight clamp by ``trainer``.
 """
 
 from __future__ import annotations
@@ -25,19 +29,6 @@ class RunConfig:
     n_scatterers: int = 26
     fc_ghz: float = 2.4
     delta2d: float = 1.0
-    h_rx: float = 1.5
-    tx_x: float = 0.0
-    tx_y: float = 0.0
-    tx_z: float = 25.0
-    bound_x_min: float = -550.0
-    bound_x_max: float = 500.0
-    bound_y_min: float = -550.0
-    bound_y_max: float = 500.0
-    bound_z_min: float = 0.0
-    bound_z_max: float = 30.0
-    start_x: float = 100.0
-    start_y: float = 100.0
-    heading_count: int = 50
     hold_min: int = 100
     hold_max: int = 500
     max_d2d: float = 600.0
@@ -60,26 +51,11 @@ class RunConfig:
     epochs: int = 250
     batch_size: int = 256
     lr: float = 5e-5
-    lr_decay: float = 0.9
-    lr_decay_every: int = 10
-    weight_decay: float = 0.01
     beta: float = 1.0
     stride: int = 1
     train_frac: float = 0.8
     checkpoint_every: int = 0
-    alpha_max: float = 1e12
     seed: int = 0
-
-    def tx(self):
-        return (self.tx_x, self.tx_y, self.tx_z)
-
-    def rx_start(self):
-        return (self.start_x, self.start_y, self.h_rx)
-
-    def bounds(self):
-        return ((self.bound_x_min, self.bound_x_max),
-                (self.bound_y_min, self.bound_y_max),
-                (self.bound_z_min, self.bound_z_max))
 
     def model_config(self, n_paths=None):
         """The model shape. Its ``feature_dim`` follows ``n_paths`` (a
@@ -97,11 +73,6 @@ class RunConfig:
             raise ConfigError("n_scatterers must be >= 1")
         if self.fc_ghz <= 0 or self.delta2d <= 0:
             raise ConfigError("fc_ghz and delta2d must be positive")
-        for lo, hi in self.bounds():
-            if lo > hi:
-                raise ConfigError("invalid bound range [%g, %g]" % (lo, hi))
-        if self.heading_count < 2:
-            raise ConfigError("heading_count must be >= 2")
         if not (1 <= self.hold_min <= self.hold_max):
             raise ConfigError("hold range must satisfy 1 <= min <= max")
         if self.steps < 1 or self.trajectories < 1:

@@ -39,6 +39,7 @@ SPEED_OF_LIGHT = 3.0e8
 DEFAULT_BOUNDS = ((-550.0, 500.0), (-550.0, 500.0), (0.0, 30.0))
 DEFAULT_TX = (0.0, 0.0, 25.0)
 DEFAULT_RX_START = (100.0, 100.0, 1.5)
+HEADING_COUNT = 50
 
 
 # ---------------------------------------------------------------------------
@@ -292,32 +293,32 @@ _CHUNK_POINTS = 1024
 
 
 def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
-                       bounds=DEFAULT_BOUNDS, tx=DEFAULT_TX,
-                       rx_start=DEFAULT_RX_START, heading_count=50,
                        trajectories=1, max_d2d=600.0, hold_range=(100, 500)):
     """Build a full dataset: one scatterer field, one or more trajectories.
 
     Per-trajectory seeds are derived from the master seed, so trajectories
-    can later be generated independently without changing the output.
+    can later be generated independently without changing the output. The
+    world's geometry is the fixed one: ``DEFAULT_BOUNDS``, ``DEFAULT_TX``,
+    ``DEFAULT_RX_START`` and ``HEADING_COUNT``.
     """
     ss = np.random.SeedSequence(seed)
     # sub-seed 0 places the field and 1 + 2t walks trajectory t; 2 + 2t is
     # unused but kept, so that no other sub-seed (and no dataset) shifts
     subseeds = [int(s) for s in ss.generate_state(2 * trajectories + 1, dtype=np.uint64)]
-    field = place_scatterers(n_paths, bounds, seed=subseeds[0])
-    headings = heading_angle_set(heading_count)
+    field = place_scatterers(n_paths, seed=subseeds[0])
+    headings = heading_angle_set(HEADING_COUNT)
     rows = np.empty((trajectories * steps, feature_dim(n_paths)))
     for t in range(trajectories):
-        traj = gen_trajectory(rx_start, steps, delta2d, headings,
-                              seed=subseeds[1 + 2 * t], tx=tx, max_d2d=max_d2d,
+        traj = gen_trajectory(DEFAULT_RX_START, steps, delta2d, headings,
+                              seed=subseeds[1 + 2 * t], max_d2d=max_d2d,
                               hold_range=hold_range)
         # a chunk at a time, so the per-path temporaries stay small
         for lo in range(0, steps, _CHUNK_POINTS):
             hi = min(lo + _CHUNK_POINTS, steps)
             rows[t * steps + lo:t * steps + hi] = channel_rows(
-                tx, traj[lo:hi], field, fc_ghz)
+                DEFAULT_TX, traj[lo:hi], field, fc_ghz)
     return Dataset(rows=rows, n_paths=n_paths, fc_ghz=fc_ghz,
-                   delta2d=delta2d, h_rx=float(rx_start[2]), seed=seed,
+                   delta2d=delta2d, h_rx=DEFAULT_RX_START[2], seed=seed,
                    traj_steps=(steps,) * trajectories)
 
 

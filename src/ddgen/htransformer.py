@@ -19,7 +19,7 @@ come out of one pass, so no output can see a target step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,6 +148,15 @@ def init_params(cfg, seed=0):
     _affine(params, "lstm.proj", 2 * cfg.bilstm_hidden, cfg.d_model, rng)
     _affine(params, "head", cfg.d_model, cfg.feature_dim, rng)
     return params
+
+
+def param_names(cfg):
+    """The tensor names ``init_params`` gives ``cfg``'s model, in its order.
+    They depend only on the three layer counts, so they are read off a
+    model of width 1, which costs next to nothing to draw."""
+    return list(init_params(replace(
+        cfg, feature_dim=1, lag=1, window=1, d_model=1, heads=1, ffn_dim=1,
+        rank=1, bilstm_hidden=1)))
 
 
 def param_count(params):

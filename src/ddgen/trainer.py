@@ -12,6 +12,7 @@ elementwise smooth-L1 on the scaled features.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 from . import adtensor as ad
 from . import chanstats, gscm
 from .config import ConfigError
-from .htransformer import hybrid_forward, init_params
+from .htransformer import (ModelConfig, hybrid_forward, init_params,
+                           param_names)
 
 # Smoothing floors inside the loss-side spread computations: sqrt(S^2 + eps)
 # bounds the 1/S gradient blow-up when a generated window degenerates toward
@@ -284,10 +286,6 @@ class AdamW:
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
-    def zero_grad(self):
-        for t in self.params.values():
-            t.grad = None
-
     def step(self, lr):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -386,7 +384,8 @@ def load_train_checkpoint(path, optimizer=True):
     the opt arrays dict is empty: a run that only evaluates the model needs
     the parameters and the scaler alone. A checkpoint of another kind,
     such as one in the per-head and per-direction layout or one trained
-    with a masked decoder, raises ``ConfigError``.
+    with a masked decoder, raises ``ConfigError``, and so does one that
+    lacks a tensor its model has or holds one its model does not.
     """
     arrays, meta = ad.load_checkpoint(path,
                                       skip=() if optimizer else ("opt.",))
@@ -394,6 +393,19 @@ def load_train_checkpoint(path, optimizer=True):
         raise ConfigError("%s is a %r checkpoint; this version reads only "
                           "%r checkpoints" % (path, meta.get("kind"),
                                               CHECKPOINT_KIND))
+    names = param_names(ModelConfig.from_dict(meta["model"]))
+    want = names + ["scaler.mins", "scaler.maxs", "scaler.fixed"]
+    if optimizer:
+        want += ["opt.%s.%s" % (moment, k) for k in names for moment in "mv"]
+    missing = [k for k in want if k not in arrays]
+    if missing:
+        raise ConfigError("%s lacks tensor %r of its model" % (path,
+                                                                missing[0]))
+    known = set(want)
+    unexpected = [k for k in arrays if k not in known]
+    if unexpected:
+        raise ConfigError("%s holds tensor %r, which its model does not "
+                          "have" % (path, unexpected[0]))
     params = {}
     opt_arrays = {}
     scaler_fields = {}
@@ -460,7 +472,7 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         _check_resume(meta, model_cfg, cfg, dataset.n_paths)
         weights = (LossWeights.from_dict(meta["weights"])
                    if meta["weights"] else None)
-        opt = AdamW(params, weight_decay=cfg.weight_decay)
+        opt = AdamW(params)
         opt.load_state(opt_arrays, meta["adam_t"])
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
@@ -472,9 +484,8 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         weights = None
         if cfg.mode == "gen":
             weights = calibrate_weights(
-                chanstats.row_stats(train_rows, dataset.n_paths),
-                cfg.alpha_max)
-        opt = AdamW(params, weight_decay=cfg.weight_decay)
+                chanstats.row_stats(train_rows, dataset.n_paths))
+        opt = AdamW(params)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
 
@@ -491,7 +502,7 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     trace = []
     last_good = None
     for epoch in range(start_epoch, cfg.epochs):
-        lr = learning_rate(cfg.lr, epoch, cfg.lr_decay, cfg.lr_decay_every)
+        lr = learning_rate(cfg.lr, epoch)
         order = rng.permutation(len(starts))
         total_loss = 0.0
         for batch_idx in window_batches(order, cfg.batch_size):
@@ -500,7 +511,7 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
                                               model_cfg.lag, model_cfg.window)
             # the last step's parameter gradients are spent: free them
             # before this forward allocates
-            opt.zero_grad()
+            ad.zero_grad(params.values())
             out = hybrid_forward(hist, model_cfg, params, training=True,
                                  dropout_rng=rng)
             try:
@@ -537,14 +548,11 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
                        trace=trace)
 
 
-def write_trace(path, trace, config_snapshot=None):
+def write_trace(path, trace, config_snapshot):
     """Loss trace as numeric text rows; identical runs give identical bytes."""
-    import json
-    lines = ["# ddgen loss trace v1"]
-    if config_snapshot is not None:
-        lines.append("# config: %s" % json.dumps(config_snapshot,
-                                                 sort_keys=True))
-    lines.append("# columns: epoch mean_loss lr")
+    lines = ["# ddgen loss trace v1",
+             "# config: %s" % json.dumps(config_snapshot, sort_keys=True),
+             "# columns: epoch mean_loss lr"]
     for epoch, loss, lr in trace:
         lines.append("%d %.17g %.17g" % (epoch, loss, lr))
     with open(path, "w") as f:

@@ -4,6 +4,7 @@ import glob
 import hashlib
 import json
 import os
+import shlex
 import shutil
 
 import numpy as np
@@ -53,7 +54,11 @@ def test_gen_defaults_match_full_scale_setup():
     cfg = RunConfig()
     assert cfg.n_scatterers == 26
     assert cfg.fc_ghz == 2.4
-    assert cfg.tx() == (0.0, 0.0, 25.0)
+    assert gscm.DEFAULT_TX == (0.0, 0.0, 25.0)
+    assert gscm.DEFAULT_RX_START == (100.0, 100.0, 1.5)
+    assert gscm.DEFAULT_BOUNDS == ((-550.0, 500.0), (-550.0, 500.0),
+                                   (0.0, 30.0))
+    assert gscm.HEADING_COUNT == 50
     assert cfg.steps == 125000
 
 
@@ -248,14 +253,6 @@ def test_evaluate_rejects_bad_flags_before_loading(tmp_path, capsys, flags,
     assert "config error: %s" % want in capsys.readouterr().err
 
 
-def test_evaluate_rejects_mismatched_window(tmp_path, dataset_path,
-                                            checkpoint_path):
-    rc = cli.main(["evaluate", "--checkpoint", checkpoint_path,
-                   "--dataset", dataset_path, "--out", str(tmp_path / "x"),
-                   "--window", "99"])
-    assert rc == 1
-
-
 def test_export_cdfs(tmp_path, dataset_path, checkpoint_path):
     out_dir = str(tmp_path / "eval")
     assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
@@ -361,6 +358,80 @@ def test_exit_codes(tmp_path):
     assert cli.main(["gen"]) == 1
 
 
+# keys whose one value is a constant of gscm or trainer
+REMOVED_KEYS = ("tx_x", "tx_y", "tx_z", "bound_x_min", "bound_x_max",
+                "bound_y_min", "bound_y_max", "bound_z_min", "bound_z_max",
+                "start_x", "start_y", "h_rx", "heading_count", "lr_decay",
+                "lr_decay_every", "weight_decay", "alpha_max")
+
+
+def test_removed_config_keys_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "x.txt")
+    gen = ["gen", "--out", out, "--steps", "5", "--set", "n_scatterers=2"]
+    cfg_file = str(tmp_path / "run.cfg")
+    with open(cfg_file, "w") as f:
+        f.write("heading_count=50\n")
+    runs = [(key, gen + ["--set", "%s=1" % key]) for key in REMOVED_KEYS]
+    runs.append(("heading_count", gen + ["--config", cfg_file]))
+    for key, args in runs:
+        capsys.readouterr()
+        assert cli.main(args) == 1, args
+        assert "unknown config key %r" % key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--trace", "{tmp}/t.txt"],
+    ["train", "--lag", "6"],
+    ["train", "--window", "4"],
+    ["evaluate", "--lag", "6"],
+    ["evaluate", "--window", "4"],
+], ids=lambda args: "-".join(a.strip("-") for a in args[:2]))
+def test_removed_flags_exit_1(tmp_path, dataset_path, checkpoint_path,
+                              capsys, args):
+    # each value is the one the checkpoint was trained with, or a fresh path
+    command, flags = args[0], [a.format(tmp=tmp_path) for a in args[1:]]
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = train_args(dataset_path, out) + flags
+    else:
+        argv = ["evaluate", "--checkpoint", checkpoint_path,
+                "--dataset", dataset_path, "--out", out] + flags
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "unrecognized arguments: %s" % " ".join(flags) in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _readme_commands():
+    """The ``ddgen`` command lines of README's "Command line" block, each
+    split into arguments."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(l, comments=True) for l in lines
+            if l.startswith("ddgen ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {
+        "gen", "train", "evaluate", "export-cdfs", "table", "summary",
+        "reference"}
+    parser = cli.build_parser()
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail("README command does not parse: %s" % " ".join(argv))
+        for pair in getattr(args, "set", None) or []:
+            assert pair.split("=", 1)[0] in keys, (argv, pair)
+
+
 def _sha256(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -440,13 +511,6 @@ def test_resume_mismatch_exits_1(tmp_path, dataset_path, capsys, key, change):
     assert "config error" in err and "checkpoint has %s=" % key in err
 
 
-def test_out_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
-    assert cli.main(["gen", "--out", "rooted.txt", "--steps", "5",
-                     "--seed", "1", "--set", "n_scatterers=2"]) == 0
-    assert os.path.exists(str(tmp_path / "rooted.txt"))
-
-
 def test_config_file_and_overrides(tmp_path):
     path = str(tmp_path / "run.cfg")
     with open(path, "w") as f:
@@ -507,13 +571,61 @@ def test_checkpoint_of_another_kind_exits_1(tmp_path, dataset_path, capsys):
             assert "%r" % kind in err and "'ddgen-train/3'" in err
 
 
+def _rename(arrays, old, new):
+    arrays[new] = arrays.pop(old)
+
+
+@pytest.mark.parametrize("edit,named,commands", [
+    (lambda a: _rename(a, "head.w", "head.weight"), "head.w", "all"),
+    (lambda a: a.update({"enc.1.attn.wo": a["enc.0.attn.wo"]}),
+     "enc.1.attn.wo", "all"),
+    (lambda a: a.pop("opt.v.lstm.0.wh"), "opt.v.lstm.0.wh", "resume"),
+], ids=["renamed", "extra", "no-moment"])
+def test_checkpoint_tensor_names_must_match_model(tmp_path, dataset_path,
+                                                  checkpoint_path, capsys,
+                                                  edit, named, commands):
+    bad = str(tmp_path / "bad.bin")
+    arrays, meta = ad.load_checkpoint(checkpoint_path)
+    edit(arrays)
+    ad.save_checkpoint(bad, arrays, meta)
+    runs = {"evaluate": ["evaluate", "--checkpoint", bad, "--dataset",
+                         dataset_path, "--out", str(tmp_path / "ev")],
+            "summary": ["summary", "--checkpoint", bad],
+            "resume": train_args(dataset_path, str(tmp_path / "res.bin"))
+            + ["--resume", bad]}
+    for command, args in runs.items():
+        capsys.readouterr()
+        rc = cli.main(args)
+        if commands == "all" or command == commands:
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert "config error" in err and "tensor %r" % named in err
+        else:  # evaluate and summary do not read the optimizer moments
+            assert rc == 0, command
+
+
+def test_checkpoint_with_removed_settings_still_loads(tmp_path, dataset_path,
+                                                       checkpoint_path):
+    # a checkpoint written before the single-valued keys became constants
+    # records them among its settings; nothing reads them
+    arrays, meta = ad.load_checkpoint(checkpoint_path)
+    meta["settings"].update({key: 1 for key in REMOVED_KEYS})
+    old = str(tmp_path / "old.bin")
+    ad.save_checkpoint(old, arrays, meta)
+    assert cli.main(["evaluate", "--checkpoint", old, "--dataset",
+                     dataset_path, "--out", str(tmp_path / "ev")]) == 0
+    assert cli.main(["summary", "--checkpoint", old]) == 0
+    assert cli.main(train_args(dataset_path, str(tmp_path / "res.bin"),
+                               epochs=3) + ["--resume", old]) == 0
+
+
 # sha256 of the loss traces of the README's desk model after 3 epochs, in
-# each mode, with 1 or 2 BLAS threads alike. Re-pinned when the decoder's
-# self-attention lost its slot-index mask: its attention weights, and so
-# every loss, changed
+# each mode, with 1 or 2 BLAS threads alike. Re-pinned when 17 single-valued
+# keys left the config: only the trace's "# config:" line changed; every
+# loss and learning rate kept its bits
 DESK_TRACE_DIGESTS = {
-    "gen": "a2db9610d67f9c8b810cbc812e7e40bcc5a7cce4381d0a5b9ceb7be07b6d1a43",
-    "pred": "6d5a8c440a20eff203d6c4a426637bf7b655fc709451a8e51245b32e514f6ce4",
+    "gen": "aeb7032c0abbe9b411ca4128f220dad1e84eccf75d80c7feead3001beb673b78",
+    "pred": "f7e8e61e8e6886826aa53ca365890e44b8efe91efe325b70390411822a279fd4",
 }
 
 

@@ -335,3 +335,11 @@ def test_init_params_deterministic():
     a = ht.init_params(cfg, seed=9)
     b = ht.init_params(cfg, seed=9)
     assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+
+
+@pytest.mark.parametrize("layers", [(1, 1, 1), (2, 1, 3), (1, 3, 2)])
+def test_param_names_are_init_params_names(layers):
+    enc, dec, lstm = layers
+    cfg = tiny_model_config(enc_layers=enc, dec_layers=dec,
+                            bilstm_layers=lstm)
+    assert ht.param_names(cfg) == list(ht.init_params(cfg, seed=3))
