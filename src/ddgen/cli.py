@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import chanstats, gscm, trainer
+from . import gscm, trainer
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .htransformer import ModelConfig, init_params, model_summary
 
@@ -125,18 +125,15 @@ def cmd_train(args):
     return 0
 
 
-def _eval_pools_to_cells(report, model_label, lag, window, delta2d):
-    cells = []
-    for name in trainer.EVAL_STATS:
-        cells.append({"statistic": name, "model": model_label, "L": lag,
-                      "P": window, "delta2d": delta2d,
-                      "cdf_mse_db": report[name]["cdf_mse_db"]})
-    return cells
+# the keys of one table cell: a CDF distance (dB) and where it was measured
+CELL_KEYS = ("statistic", "model", "L", "P", "delta2d", "cdf_mse_db")
+
+
+def _cell(*values):
+    return dict(zip(CELL_KEYS, values))
 
 
 def cmd_evaluate(args):
-    if args.cdf_grid < 2:
-        raise ConfigError("--cdf-grid must be >= 2")
     if args.stride is not None and args.stride < 1:
         raise ConfigError("--stride must be >= 1")
     params, scaler, _, meta = trainer.load_train_checkpoint(args.checkpoint,
@@ -158,18 +155,18 @@ def cmd_evaluate(args):
         ds, model_cfg, models, scaler, eval_ranges, stride=stride)
     cells, cdfs = [], {}
     for label, pools in gen_pools.items():
-        report = trainer.cdf_distance_report(true_pools, pools, args.cdf_grid)
-        cells += _eval_pools_to_cells(report, label, model_cfg.lag,
-                                      model_cfg.window, ds.delta2d)
+        report = trainer.cdf_distance_report(true_pools, pools)
+        cells += [_cell(name, label, model_cfg.lag, model_cfg.window,
+                        ds.delta2d, report[name]["cdf_mse_db"])
+                  for name in trainer.EVAL_STATS]
         cdfs[label] = {
             name: {"grid": report[name]["grid"].tolist(),
                    "true": report[name]["true_values"].tolist(),
                    "gen": report[name]["gen_values"].tolist()}
             for name in trainer.EVAL_STATS}
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.json")
+    os.makedirs(args.out, exist_ok=True)
+    report_path = os.path.join(args.out, "report.json")
     payload = {
         "cells": cells,
         "row_ranges": {"train": train_ranges, "eval": eval_ranges},
@@ -177,59 +174,33 @@ def cmd_evaluate(args):
     }
     with open(report_path, "w") as f:
         f.write(json.dumps(payload, sort_keys=True) + "\n")
-    cells_path = os.path.join(out_dir, "cells.csv")
-    _write_cells_csv(cells_path, cells)
-    table_path = os.path.join(out_dir, "table.txt")
-    with open(table_path, "w") as f:
-        f.write(format_table(cells))
-    _write_cdf_files(cdfs, out_dir)
     _write_manifest(report_path, "evaluate", meta["settings"],
                     {"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "dataset_sha256": ds.sha256},
-                    {"report": report_path, "cells": cells_path,
-                     "table": table_path})
-    for cell in cells:
-        print("%-16s %-10s P=%-4d delta2d=%-4g %10.4f dB"
-              % (cell["statistic"], cell["model"], cell["P"],
-                 cell["delta2d"], cell["cdf_mse_db"]))
+                    {"report": report_path})
+    print(format_table(cells), end="")
     return 0
 
 
-CELLS_HEADER = "statistic,model,L,P,delta2d,cdf_mse_db"
-
-
-def _write_cells_csv(path, cells):
-    with open(path, "w") as f:
-        f.write(CELLS_HEADER + "\n")
-        for c in cells:
-            f.write("%s,%s,%d,%d,%.17g,%.17g\n"
-                    % (c["statistic"], c["model"], c["L"], c["P"],
-                       c["delta2d"], c["cdf_mse_db"]))
-
-
-def _read_cells_csv(path):
-    """Cells of a ``cells.csv``; a wrong header or a malformed line raises
-    ValueError naming the file and line. Blank lines are skipped."""
-    cells = []
+def _read_report(path):
+    """The payload of an evaluate ``report.json``. A file that is not JSON,
+    lacks ``cells`` or ``cdfs``, or holds a cell without one of
+    ``CELL_KEYS`` raises ValueError naming the file."""
     with open(path) as f:
-        header = f.readline().strip()
-        if header != CELLS_HEADER:
-            raise ValueError("%s:1: expected header %r, got %r"
-                             % (path, CELLS_HEADER, header))
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            vals = line.strip().split(",")
-            try:
-                if len(vals) != 6:
-                    raise ValueError("expected 6 fields, got %d" % len(vals))
-                cells.append({"statistic": vals[0], "model": vals[1],
-                              "L": int(vals[2]), "P": int(vals[3]),
-                              "delta2d": float(vals[4]),
-                              "cdf_mse_db": float(vals[5])})
-            except ValueError as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from exc
-    return cells
+        try:
+            payload = json.load(f)
+        except ValueError as exc:
+            raise ValueError("%s: not a JSON report: %s" % (path, exc)) \
+                from None
+    for key in ("cells", "cdfs"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError("%s: the report lacks %r" % (path, key))
+    for i, cell in enumerate(payload["cells"]):
+        missing = [k for k in CELL_KEYS
+                   if not isinstance(cell, dict) or k not in cell]
+        if missing:
+            raise ValueError("%s: cell %d lacks %r" % (path, i, missing[0]))
+    return payload
 
 
 def format_table(cells):
@@ -263,8 +234,8 @@ def format_table(cells):
 
 def cmd_table(args):
     cells = []
-    for path in args.cells:
-        cells.extend(_read_cells_csv(path))
+    for path in args.reports:
+        cells.extend(_read_report(path)["cells"])
     text = format_table(cells)
     if args.out:
         with open(args.out, "w") as f:
@@ -289,8 +260,7 @@ def _write_cdf_files(cdfs, out_dir):
 
 
 def cmd_export_cdfs(args):
-    with open(args.report) as f:
-        payload = json.load(f)
+    payload = _read_report(args.report)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     written = _write_cdf_files(payload["cdfs"], out_dir)
@@ -336,18 +306,9 @@ def _render_svgs(payload, out_dir):
 
 
 def cmd_reference(args):
-    lines = []
-    for stat, table in FULL_SCALE_REFERENCE_DB.items():
-        ps = sorted({p for p, _ in table})
-        deltas = sorted({d for _, d in table})
-        lines.append("%s (full-scale reference, lag 100, dB)" % stat)
-        lines.append("  %-8s" % "P" + "".join("%14s" % ("d2d=%g m" % d)
-                                              for d in deltas))
-        for p in ps:
-            lines.append("  %-8d" % p + "".join(
-                "%14.4f" % table[(p, d)] for d in deltas))
-        lines.append("")
-    print("\n".join(lines), end="")
+    print(format_table([_cell(stat, "reference", 100, p, d, db)
+                        for stat, table in FULL_SCALE_REFERENCE_DB.items()
+                        for (p, d), db in table.items()]), end="")
     return 0
 
 
@@ -396,7 +357,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--stride", type=int)
-    p.add_argument("--cdf-grid", type=int, default=chanstats.CDF_GRID_SIZE)
     p.add_argument("--with-untrained", action="store_true",
                    help="also score a freshly initialized model")
     p.add_argument("--out", required=True)
@@ -409,9 +369,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_cdfs)
 
-    p = sub.add_parser("table", help="merge evaluation cells into aligned "
-                                     "distance tables")
-    p.add_argument("cells", nargs="+")
+    p = sub.add_parser("table", help="merge the cells of evaluation reports "
+                                     "into aligned distance tables")
+    p.add_argument("reports", nargs="+", metavar="report.json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 

@@ -385,7 +385,8 @@ def load_train_checkpoint(path, optimizer=True):
     the parameters and the scaler alone. A checkpoint of another kind,
     such as one in the per-head and per-direction layout or one trained
     with a masked decoder, raises ``ConfigError``, and so does one that
-    lacks a tensor its model has or holds one its model does not.
+    lacks a tensor its model has or holds one its model does not, and one
+    whose header lacks a key that a command reads.
     """
     arrays, meta = ad.load_checkpoint(path,
                                       skip=() if optimizer else ("opt.",))
@@ -393,6 +394,7 @@ def load_train_checkpoint(path, optimizer=True):
         raise ConfigError("%s is a %r checkpoint; this version reads only "
                           "%r checkpoints" % (path, meta.get("kind"),
                                               CHECKPOINT_KIND))
+    _check_header(path, meta, optimizer)
     names = param_names(ModelConfig.from_dict(meta["model"]))
     want = names + ["scaler.mins", "scaler.maxs", "scaler.fixed"]
     if optimizer:
@@ -421,6 +423,25 @@ def load_train_checkpoint(path, optimizer=True):
                         fixed_mask=scaler_fields["fixed"].astype(bool),
                         n_paths=int(meta["n_paths"]))
     return params, scaler, opt_arrays, meta
+
+
+def _check_header(path, meta, optimizer):
+    """Raise ConfigError naming the first header key that some command reads
+    and the checkpoint lacks: every model key, the path count, the settings
+    that evaluate and --resume read, and the run state that --resume
+    restores."""
+    top = ("model", "n_paths", "settings")
+    if optimizer:
+        top += ("weights", "epoch", "adam_t", "rng_state")
+    missing = ["%r" % k for k in top if k not in meta]
+    missing += ["model key %r" % k for k in ModelConfig.__dataclass_fields__
+                if k not in meta.get("model", {})]
+    missing += ["setting %r" % k for k in ("mode", "seed", "stride",
+                                           "train_frac")
+                if k not in meta.get("settings", {})]
+    if missing:
+        raise ConfigError("%s: the checkpoint header lacks %s"
+                          % (path, missing[0]))
 
 
 def _check_resume(meta, model_cfg, cfg, n_paths):
@@ -623,17 +644,16 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
                        for label, rows in gen_rows.items()}
 
 
-def cdf_distance_report(true_pools, gen_pools,
-                        grid_size=chanstats.CDF_GRID_SIZE):
-    """Per-statistic CDF MSE (dB) plus the shared-grid CDFs themselves."""
+def cdf_distance_report(true_pools, gen_pools):
+    """Per-statistic CDF MSE (dB) plus the shared-grid CDFs themselves, on
+    grids of ``chanstats.CDF_GRID_SIZE`` points."""
     report = {}
     for name in EVAL_STATS:
-        true_cdf, gen_cdf = chanstats.cdf_pair(true_pools[name],
-                                               gen_pools[name], grid_size)
+        truth, gen = chanstats.cdf_pair(true_pools[name], gen_pools[name])
         report[name] = {
-            "cdf_mse_db": chanstats.cdf_mse_db(true_cdf, gen_cdf),
-            "grid": true_cdf.grid,
-            "true_values": true_cdf.values,
-            "gen_values": gen_cdf.values,
+            "cdf_mse_db": chanstats.cdf_mse_db(truth, gen),
+            "grid": truth.grid,
+            "true_values": truth.values,
+            "gen_values": gen.values,
         }
     return report

@@ -347,12 +347,13 @@ def test_criterion_9_determinism(tmp_path):
         out = str(tmp_path / ("eval%d" % len(evals)))
         assert cli.main(["evaluate", "--checkpoint", ckpt, "--dataset", a,
                          "--out", out]) == 0
-        evals.append([open(os.path.join(out, name), "rb").read()
-                      for name in ("report.json", "cells.csv")])
+        report, table = os.path.join(out, "report.json"), out + ".table.txt"
+        assert cli.main(["table", report, "--out", table]) == 0
+        evals.append([open(path, "rb").read() for path in (report, table)])
     eval_same = evals[0] == evals[1] == evals[2]
     _report("criterion 9 determinism",
             ds_same and twin_same and trace_same and eval_same,
             "dataset bytes identical: %s; twin bytes and digests identical: "
-            "%s; loss trace bytes identical: %s; evaluate report and cells "
-            "bytes identical (c1 twice, c2 once): %s"
+            "%s; loss trace bytes identical: %s; evaluate report and its "
+            "table bytes identical (c1 twice, c2 once): %s"
             % (ds_same, twin_same, trace_same, eval_same))

@@ -133,12 +133,16 @@ def test_train_pred_mode(tmp_path, dataset_path):
     assert meta["weights"] is None
 
 
-def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path):
+def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path,
+                                capsys):
     out_dir = str(tmp_path / "eval")
     assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
                      "--dataset", dataset_path, "--out", out_dir,
                      "--stride", "2", "--with-untrained"]) == 0
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    assert sorted(os.listdir(out_dir)) == ["report.json",
+                                           "report.json.manifest.json"]
+    report_path = os.path.join(out_dir, "report.json")
+    report = json.load(open(report_path))
     models = {c["model"] for c in report["cells"]}
     assert models == {"gen", "untrained"}
     stats = {c["statistic"] for c in report["cells"]}
@@ -149,39 +153,28 @@ def test_evaluate_writes_report(tmp_path, dataset_path, checkpoint_path):
         train_rows.update(range(lo, hi))
     for lo, hi in report["row_ranges"]["eval"]:
         assert not train_rows.intersection(range(lo, hi))
-    assert os.path.exists(os.path.join(out_dir, "cells.csv"))
-    table = open(os.path.join(out_dir, "table.txt")).read()
-    assert "delay_spread" in table
-    manifest = json.load(open(os.path.join(out_dir, "report.json")
-                              + ".manifest.json"))
+    # evaluate prints the table that ``ddgen table`` derives from the report
+    table = capsys.readouterr().out
+    assert "delay_spread / untrained" in table
+    assert table == cli.format_table(report["cells"])
+    assert cli.main(["table", report_path]) == 0
+    assert capsys.readouterr().out == table
+    manifest = json.load(open(report_path + ".manifest.json"))
     assert manifest["inputs"]["dataset_sha256"] == _sha256(dataset_path)
+    assert manifest["outputs"] == {"report": report_path}
 
 
 def test_evaluate_output_bytes(tmp_path, dataset_path, checkpoint_path):
     out_dir = str(tmp_path / "eval")
     assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
                      "--dataset", dataset_path, "--out", out_dir,
-                     "--stride", "1", "--cdf-grid", "40",
-                     "--with-untrained"]) == 0
+                     "--stride", "1", "--with-untrained"]) == 0
     with open(os.path.join(out_dir, "report.json")) as f:
         text = f.read()
     payload = json.loads(text)
     # the pure-Python encoder writes the same bytes as the C one
     pure = "".join(json.JSONEncoder(sort_keys=True).iterencode(payload))
     assert text == pure + "\n"
-    written = 0
-    for model, stats in payload["cdfs"].items():
-        for name, cdf in stats.items():
-            grid = np.asarray(cdf["grid"])
-            for which in ("true", "gen"):
-                path = os.path.join(out_dir,
-                                    "%s_%s_%s.csv" % (name, model, which))
-                want = "".join("%.17g %.17g\n" % (g, v) for g, v in
-                               zip(grid, np.asarray(cdf[which])))
-                with open(path) as f:
-                    assert f.read() == want, path
-                written += 1
-    assert written == 2 * 2 * len(trainer.EVAL_STATS)
 
 
 def test_evaluate_with_untrained_computes_the_true_side_once(
@@ -238,10 +231,10 @@ def test_evaluate_rejects_other_path_count(tmp_path, checkpoint_path,
     assert not os.path.exists(tmp_path / "ev")
 
 
+# ids are pinned so a case keeps its name when cases are added or removed
 @pytest.mark.parametrize("flags,want", [
-    (["--cdf-grid", "1"], "--cdf-grid"),
-    (["--stride", "0"], "--stride"),
-    (["--stride", "-1"], "--stride"),
+    pytest.param(["--stride", "0"], "--stride", id="flags1---stride"),
+    pytest.param(["--stride", "-1"], "--stride", id="flags2---stride"),
 ])
 def test_evaluate_rejects_bad_flags_before_loading(tmp_path, capsys, flags,
                                                    want):
@@ -257,13 +250,29 @@ def test_export_cdfs(tmp_path, dataset_path, checkpoint_path):
     out_dir = str(tmp_path / "eval")
     assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
                      "--dataset", dataset_path, "--out", out_dir,
-                     "--stride", "2", "--cdf-grid", "64"]) == 0
+                     "--stride", "2", "--with-untrained"]) == 0
     report = os.path.join(out_dir, "report.json")
     cdf_dir = str(tmp_path / "cdfs")
     assert cli.main(["export-cdfs", "--report", report, "--out", cdf_dir]) == 0
+    # two files per statistic per model, each one "%.17g %.17g" line per
+    # grid point of the report's CDF
+    payload = json.load(open(report))
+    want = {}
+    for model, stats in payload["cdfs"].items():
+        for name, cdf in stats.items():
+            for which in ("true", "gen"):
+                want["%s_%s_%s.csv" % (name, model, which)] = "".join(
+                    "%.17g %.17g\n" % gv
+                    for gv in zip(np.asarray(cdf["grid"]),
+                                  np.asarray(cdf[which])))
+    assert len(want) == 2 * 2 * len(trainer.EVAL_STATS)
+    assert sorted(os.listdir(cdf_dir)) == sorted(want)
+    for name, text in want.items():
+        with open(os.path.join(cdf_dir, name)) as f:
+            assert f.read() == text, name
     path = os.path.join(cdf_dir, "delay_spread_gen_true.csv")
     rows = np.loadtxt(path)
-    assert rows.shape == (64, 2)
+    assert rows.shape == (chanstats.CDF_GRID_SIZE, 2)
     assert np.all(np.diff(rows[:, 1]) >= 0)  # CDF column nondecreasing
     first = open(path, "rb").read()
     assert cli.main(["export-cdfs", "--report", report, "--out", cdf_dir]) == 0
@@ -275,7 +284,7 @@ def test_export_cdfs_svg(tmp_path, dataset_path, checkpoint_path):
     out_dir = str(tmp_path / "eval")
     assert cli.main(["evaluate", "--checkpoint", checkpoint_path,
                      "--dataset", dataset_path, "--out", out_dir,
-                     "--stride", "2", "--cdf-grid", "32"]) == 0
+                     "--stride", "2"]) == 0
     cdf_dir = str(tmp_path / "cdfs")
     assert cli.main(["export-cdfs", "--report",
                      os.path.join(out_dir, "report.json"),
@@ -283,45 +292,64 @@ def test_export_cdfs_svg(tmp_path, dataset_path, checkpoint_path):
     assert os.path.exists(os.path.join(cdf_dir, "delay_spread.svg"))
 
 
+def _write_report(path, cells):
+    """A ``report.json`` of the given cells and no model's CDFs."""
+    with open(path, "w") as f:
+        json.dump({"cells": cells, "cdfs": {},
+                   "row_ranges": {"train": [], "eval": []}}, f)
+
+
+def _delay_cell(P, db):
+    return {"statistic": "delay_spread", "model": "gen", "L": 20, "P": P,
+            "delta2d": 1.0, "cdf_mse_db": db}
+
+
 def test_table_merges_and_averages(tmp_path):
-    c1 = str(tmp_path / "c1.csv")
-    c2 = str(tmp_path / "c2.csv")
-    cli._write_cells_csv(c1, [{"statistic": "delay_spread", "model": "gen",
-                               "L": 20, "P": 40, "delta2d": 1.0,
-                               "cdf_mse_db": -30.0}])
-    cli._write_cells_csv(c2, [{"statistic": "delay_spread", "model": "gen",
-                               "L": 20, "P": 40, "delta2d": 1.0,
-                               "cdf_mse_db": -20.0}])
+    r1 = str(tmp_path / "r1.json")
+    r2 = str(tmp_path / "r2.json")
+    _write_report(r1, [_delay_cell(40, -30.0)])
+    _write_report(r2, [_delay_cell(40, -20.0)])
     out = str(tmp_path / "table.txt")
-    assert cli.main(["table", c1, c2, "--out", out]) == 0
+    assert cli.main(["table", r1, r2, "--out", out]) == 0
     text = open(out).read()
     assert "-25.0000" in text  # three-run style averaging of duplicate cells
 
 
-@pytest.mark.parametrize("how", ["truncated", "header", "blank"])
+@pytest.mark.parametrize("how", ["truncated", "no-cells", "no-cdfs",
+                                 "no-cdf_mse_db", "valid"])
 def test_table_rejects_malformed_cells(tmp_path, capsys, how):
-    path = str(tmp_path / "cells.csv")
-    cli._write_cells_csv(path, [
-        {"statistic": "delay_spread", "model": "gen", "L": 6, "P": P,
-         "delta2d": 1.0, "cdf_mse_db": -30.0} for P in (4, 8)])
-    lines = open(path).read().splitlines()
+    # table and export-cdfs read a report through the same checks
+    path = str(tmp_path / "report.json")
+    _write_report(path, [_delay_cell(P, -30.0) for P in (4, 8)])
+    text = open(path).read()
+    payload = json.loads(text)
     if how == "truncated":
-        lines[-1] = "delay_spread,gen,6,4"
-        want = "cells.csv:3: expected 6 fields"
-    elif how == "header":
-        lines[0] = "statistic,model"
-        want = "cells.csv:1: expected header"
-    else:  # blank lines carry no cell and stay allowed
-        lines.insert(2, "")
+        text = text[:len(text) // 2]
+        want = "report.json: not a JSON report"
+    elif how == "no-cdf_mse_db":
+        del payload["cells"][1]["cdf_mse_db"]
+        want = "report.json: cell 1 lacks 'cdf_mse_db'"
+    elif how.startswith("no-"):
+        del payload[how[3:]]
+        want = "report.json: the report lacks %r" % how[3:]
+    else:
         want = None
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    rc = cli.main(["table", path])
-    captured = capsys.readouterr()
-    if want is None:
-        assert rc == 0 and captured.out.count("-30.0000") == 2
-    else:
-        assert rc == 2 and want in captured.err and captured.out == ""
+        f.write(text if how == "truncated" else json.dumps(payload))
+    runs = {"table": ["table", path],
+            "export-cdfs": ["export-cdfs", "--report", path,
+                            "--out", str(tmp_path / "cdfs")]}
+    for command, args in runs.items():
+        capsys.readouterr()
+        rc = cli.main(args)
+        captured = capsys.readouterr()
+        if want is not None:
+            assert rc == 2 and want in captured.err, command
+            assert captured.out == "", command
+        elif command == "table":
+            assert rc == 0 and captured.out.count("-30.0000") == 2
+        else:  # the report holds no model's CDFs
+            assert rc == 0 and captured.out == ""
 
 
 def test_reference_table(capsys):
@@ -331,6 +359,13 @@ def test_reference_table(capsys):
     assert "-27.5395" in out  # azimuth spread, P=600, 1 m step
     assert "-21.6128" in out  # zenith spread, P=600, 1 m step
     assert "-44.8855" in out  # MPC power, P=600, 1 m step
+    # the one table renderer, on cells of model "reference" at lag 100
+    cells = [{"statistic": stat, "model": "reference", "L": 100, "P": p,
+              "delta2d": d, "cdf_mse_db": db}
+             for stat, table in cli.FULL_SCALE_REFERENCE_DB.items()
+             for (p, d), db in table.items()]
+    assert out == cli.format_table(cells)
+    assert "delay_spread / reference (CDF MSE, dB)" in out
 
 
 def test_summary_command(tmp_path, checkpoint_path, capsys):
@@ -386,6 +421,7 @@ def test_removed_config_keys_exit_1(tmp_path, capsys):
     ["train", "--window", "4"],
     ["evaluate", "--lag", "6"],
     ["evaluate", "--window", "4"],
+    ["evaluate", "--cdf-grid", "512"],
 ], ids=lambda args: "-".join(a.strip("-") for a in args[:2]))
 def test_removed_flags_exit_1(tmp_path, dataset_path, checkpoint_path,
                               capsys, args):
@@ -416,7 +452,7 @@ def _readme_commands():
             if l.startswith("ddgen ")]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch):
     commands = _readme_commands()
     assert {argv[1] for argv in commands} == {
         "gen", "train", "evaluate", "export-cdfs", "table", "summary",
@@ -430,6 +466,15 @@ def test_readme_commands_parse():
             pytest.fail("README command does not parse: %s" % " ".join(argv))
         for pair in getattr(args, "set", None) or []:
             assert pair.split("=", 1)[0] in keys, (argv, pair)
+    # then run them in order in an empty directory, training 2 epochs
+    # instead of 30: each file a command reads is one an earlier one wrote
+    monkeypatch.chdir(tmp_path)
+    epochs = 0
+    for argv in commands:
+        epochs += argv.count("epochs=30")
+        argv = ["epochs=2" if a == "epochs=30" else a for a in argv]
+        assert cli.main(argv[1:]) == 0, " ".join(argv)
+    assert epochs == 1
 
 
 def _sha256(path):
@@ -588,6 +633,15 @@ def test_checkpoint_tensor_names_must_match_model(tmp_path, dataset_path,
     arrays, meta = ad.load_checkpoint(checkpoint_path)
     edit(arrays)
     ad.save_checkpoint(bad, arrays, meta)
+    _check_checkpoint_refused(tmp_path, dataset_path, bad, capsys,
+                              "tensor %r" % named, commands)
+
+
+def _check_checkpoint_refused(tmp_path, dataset_path, bad, capsys, named,
+                              commands):
+    """``evaluate``, ``summary`` and ``train --resume`` on a bad checkpoint:
+    those ``commands`` names ("all", or one of them) exit 1 naming the
+    defect; the others, which do not read it, exit 0."""
     runs = {"evaluate": ["evaluate", "--checkpoint", bad, "--dataset",
                          dataset_path, "--out", str(tmp_path / "ev")],
             "summary": ["summary", "--checkpoint", bad],
@@ -599,9 +653,26 @@ def test_checkpoint_tensor_names_must_match_model(tmp_path, dataset_path,
         if commands == "all" or command == commands:
             assert rc == 1, command
             err = capsys.readouterr().err
-            assert "config error" in err and "tensor %r" % named in err
+            assert "config error" in err and named in err, (command, err)
         else:  # evaluate and summary do not read the optimizer moments
             assert rc == 0, command
+
+
+@pytest.mark.parametrize("section,key,named,commands", [
+    ("model", "rank", "model key 'rank'", "all"),
+    (None, "n_paths", "'n_paths'", "all"),
+    ("settings", "train_frac", "setting 'train_frac'", "all"),
+    (None, "adam_t", "'adam_t'", "resume"),
+], ids=["model-rank", "n_paths", "settings-train_frac", "adam_t"])
+def test_checkpoint_header_must_hold_what_commands_read(
+        tmp_path, dataset_path, checkpoint_path, capsys, section, key, named,
+        commands):
+    bad = str(tmp_path / "bad.bin")
+    arrays, meta = ad.load_checkpoint(checkpoint_path)
+    del (meta[section] if section else meta)[key]
+    ad.save_checkpoint(bad, arrays, meta)
+    _check_checkpoint_refused(tmp_path, dataset_path, bad, capsys,
+                              "header lacks %s" % named, commands)
 
 
 def test_checkpoint_with_removed_settings_still_loads(tmp_path, dataset_path,
