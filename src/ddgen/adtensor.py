@@ -300,13 +300,6 @@ def repeat(a, times, axis):
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_all(a):
-    """The sum of every entry, as a 0-d tensor. No command runs it: it stays
-    as the scalar reduction the gradient checks close their graphs with."""
-    return _node(np.asarray(a.data.sum()), (a,), lambda g: _accum(
-        a, np.broadcast_to(g, a.data.shape).copy()))
-
-
 def mean_all(a):
     n = a.data.size
     return _node(np.asarray(a.data.mean()), (a,), lambda g: _accum(
@@ -636,43 +629,6 @@ def lstm_bidir(x, wh):
                 hs[:, :t_len].reshape(2, -1, hid).transpose(0, 2, 1),
                 dz.reshape(2, -1, gates)))
     return _node(out, (x, wh), back)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def grad_check(fn, params, eps=1e-5):
-    """Compare analytic gradients of a scalar-valued closure against central
-    differences, coordinate by coordinate.
-
-    ``fn`` rebuilds its graph from the current ``.data`` of each tensor in
-    ``params`` on every call and returns a scalar Tensor. Returns the max of
-    |analytic - numeric| / max(1, |numeric|) over all parameter entries.
-    """
-    zero_grad(params)
-    out = fn()
-    if out.data.ndim != 0:
-        raise ValueError("grad_check: fn must return a scalar")
-    out.backward(np.asarray(1.0))
-    worst = 0.0
-    for p in params:
-        analytic = np.zeros_like(p.data) if p.grad is None else p.grad
-        flat = p.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(fn().data)
-            flat[i] = orig - eps
-            f_minus = float(fn().data)
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError("grad_check: non-finite probe value at entry %d" % i)
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,12 @@ class EmpiricalCdf:
     values: np.ndarray  # fraction of samples <= grid point
 
 
-def pooled_grid(sample_sets, grid_size=CDF_GRID_SIZE):
-    """Equally spaced grid spanning the min/max of all given sample sets."""
-    if grid_size < 2:
-        raise ValueError("grid needs at least 2 points")
+def pooled_grid(sample_sets):
+    """``CDF_GRID_SIZE`` equally spaced points spanning the min/max of all
+    given sample sets."""
     lo = min(float(np.min(s)) for s in sample_sets if len(s))
     hi = max(float(np.max(s)) for s in sample_sets if len(s))
-    return np.linspace(lo, hi, grid_size)
+    return np.linspace(lo, hi, CDF_GRID_SIZE)
 
 
 def empirical_cdf(samples, grid):
@@ -115,20 +114,20 @@ def empirical_cdf(samples, grid):
     return EmpiricalCdf(grid=np.asarray(grid, dtype=np.float64), values=values)
 
 
-def cdf_pair(a_samples, b_samples, grid_size=CDF_GRID_SIZE):
+def cdf_pair(a_samples, b_samples):
     """Two CDFs on the shared grid spanning the pooled range of both sets."""
-    grid = pooled_grid([np.asarray(a_samples), np.asarray(b_samples)], grid_size)
+    grid = pooled_grid([np.asarray(a_samples), np.asarray(b_samples)])
     return empirical_cdf(a_samples, grid), empirical_cdf(b_samples, grid)
 
 
-def cdf_mse_db(a, b, floor_db=CDF_FLOOR_DB):
-    """Mean squared pointwise CDF difference in dB, clamped at floor_db."""
+def cdf_mse_db(a, b):
+    """Mean squared pointwise CDF difference in dB, clamped at
+    ``CDF_FLOOR_DB``."""
     if a.grid.shape != b.grid.shape or not np.array_equal(a.grid, b.grid):
         raise ValueError("CDFs must share the same grid")
     mse = float(np.mean((a.values - b.values) ** 2))
-    floor_lin = 10.0 ** (floor_db / 10.0)
-    if mse <= floor_lin:
-        return floor_db
+    if mse <= 10.0 ** (CDF_FLOOR_DB / 10.0):
+        return CDF_FLOOR_DB
     return 10.0 * math.log10(mse)
 
 

@@ -72,10 +72,10 @@ def _resolve_config(args):
     return cfg.validate()
 
 
-def _write_manifest(out_path, command, cfg, inputs, outputs):
+def _write_manifest(out_path, command, config, inputs, outputs):
     manifest = {
         "command": command,
-        "config": cfg.to_dict() if isinstance(cfg, RunConfig) else cfg,
+        "config": config,
         "inputs": inputs,
         "outputs": outputs,
     }
@@ -97,7 +97,7 @@ def cmd_gen(args):
         trajectories=cfg.trajectories, max_d2d=cfg.max_d2d,
         hold_range=(cfg.hold_min, cfg.hold_max))
     digests = gscm.write_dataset(ds, args.out)
-    manifest = _write_manifest(args.out, "gen", cfg, {},
+    manifest = _write_manifest(args.out, "gen", cfg.to_dict(), {},
                                {"dataset": args.out, **digests})
     g = ds.rows[:, 3]
     print("wrote %s: %d rows x %d features (%d trajectories)"
@@ -114,7 +114,7 @@ def cmd_train(args):
     result = trainer.train(ds, cfg, args.out, resume_from=args.resume)
     trace_path = args.out + ".trace.txt"
     trainer.write_trace(trace_path, result.trace, cfg.to_dict())
-    manifest = _write_manifest(args.out, "train", cfg,
+    manifest = _write_manifest(args.out, "train", cfg.to_dict(),
                                {"dataset": args.dataset,
                                 "sha256": ds.sha256},
                                {"checkpoint": args.out, "trace": trace_path})
@@ -184,8 +184,9 @@ def cmd_evaluate(args):
 
 def _read_report(path):
     """The payload of an evaluate ``report.json``. A file that is not JSON,
-    lacks ``cells`` or ``cdfs``, or holds a cell without one of
-    ``CELL_KEYS`` raises ValueError naming the file."""
+    lacks ``cells`` or ``cdfs``, holds a cell without one of ``CELL_KEYS``,
+    or a CDF without ``grid``, ``true`` and ``gen`` lists of one length
+    raises ValueError naming the file."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -200,6 +201,20 @@ def _read_report(path):
                    if not isinstance(cell, dict) or k not in cell]
         if missing:
             raise ValueError("%s: cell %d lacks %r" % (path, i, missing[0]))
+    cdfs = payload["cdfs"]
+    if not (isinstance(cdfs, dict)
+            and all(isinstance(stats, dict) for stats in cdfs.values())):
+        raise ValueError("%s: 'cdfs' does not map models to statistics"
+                         % path)
+    for model, stats in sorted(cdfs.items()):
+        for name, cdf in sorted(stats.items()):
+            parts = ([cdf.get(k) for k in ("grid", "true", "gen")]
+                     if isinstance(cdf, dict) else [None])
+            if not all(isinstance(p, list) and len(p) == len(parts[0])
+                       for p in parts):
+                raise ValueError("%s: the %s CDF of model %s lacks grid, "
+                                 "true and gen lists of one length"
+                                 % (path, name, model))
     return payload
 
 
@@ -207,11 +222,16 @@ def format_table(cells):
     """Aligned text: one block per (statistic, model), P rows x delta2d cols.
 
     Duplicate (statistic, model, P, delta2d) cells are averaged, which is
-    how multiple independent training runs get combined.
+    how multiple independent training runs get combined. A block whose
+    cells differ in their lag L raises ValueError naming both lags.
     """
-    groups = {}
+    groups, lags = {}, {}
     for c in cells:
         key = (c["statistic"], c["model"])
+        lag = lags.setdefault(key, c["L"])
+        if c["L"] != lag:
+            raise ValueError("%s / %s mixes cells of lag L %s and L %s"
+                             % (*key, lag, c["L"]))
         groups.setdefault(key, {}).setdefault(
             (c["P"], c["delta2d"]), []).append(c["cdf_mse_db"])
     lines = []

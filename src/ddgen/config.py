@@ -141,26 +141,8 @@ def desk_preset():
     shrunk together, keeping the 50-250 m heading segments of the full-scale
     walk while each generation window spans several random turns.
     """
-    cfg = RunConfig()
-    cfg.n_scatterers = 5
-    cfg.steps = 200
-    cfg.trajectories = 10
-    cfg.delta2d = 5.0
-    cfg.hold_min = 10
-    cfg.hold_max = 50
-    cfg.d_model = 32
-    cfg.heads = 2
-    cfg.enc_layers = 1
-    cfg.dec_layers = 1
-    cfg.ffn_dim = 32
-    cfg.rank = 8
-    cfg.bilstm_hidden = 16
-    cfg.bilstm_layers = 1
-    cfg.dropout = 0.0
-    cfg.lag = 20
-    cfg.window = 10
-    cfg.epochs = 30
-    cfg.batch_size = 64
-    cfg.lr = 1.5e-3
-    cfg.stride = 2
-    return cfg
+    return RunConfig(n_scatterers=5, steps=200, trajectories=10, delta2d=5.0,
+                     hold_min=10, hold_max=50, d_model=32, heads=2,
+                     enc_layers=1, dec_layers=1, ffn_dim=32, rank=8,
+                     bilstm_hidden=16, bilstm_layers=1, dropout=0.0, lag=20,
+                     window=10, epochs=30, batch_size=64, lr=1.5e-3, stride=2)

@@ -10,8 +10,8 @@ vector of length 4 + 7N: RX position, total gain, then per path
 
 Synthesis is array-first: ``gen_trajectory`` walks the receiver and
 ``channel_rows`` turns a whole (steps, 3) block of RX positions into rows
-in one pass. ``mpc_geometry`` and ``pathloss_db`` are the scalar reference,
-in seconds / radians / dB; dataset rows are stored in nanoseconds /
+in one pass, bit-identical to the scalar per-path reference that the tests
+hold (``tests/conftest.py``). Dataset rows are stored in nanoseconds /
 degrees / dBm.
 
 A dataset file ``<path>`` is plain text (header, then one %.17g row per
@@ -85,16 +85,14 @@ def fixed_feature_cols(n_paths):
 # ---------------------------------------------------------------------------
 # world construction
 
-def place_scatterers(n, bounds=DEFAULT_BOUNDS, seed=0):
-    """Draw n scatterer positions i.i.d. uniform inside the axis-aligned
-    bounds; returns a read-only (n, 3) array in meters."""
+def place_scatterers(n, seed=0):
+    """Draw n scatterer positions i.i.d. uniform inside ``DEFAULT_BOUNDS``;
+    returns a read-only (n, 3) array in meters."""
     if n < 0:
         raise ValueError("scatterer count must be >= 0")
-    for lo, hi in bounds:
-        if lo > hi:
-            raise ValueError("invalid bound range [%g, %g]" % (lo, hi))
     rng = np.random.default_rng(seed)
-    pos = np.column_stack([rng.uniform(lo, hi, size=n) for lo, hi in bounds])
+    pos = np.column_stack([rng.uniform(lo, hi, size=n)
+                           for lo, hi in DEFAULT_BOUNDS])
     pos = pos.reshape(n, 3)
     pos.setflags(write=False)
     return pos
@@ -112,23 +110,26 @@ def heading_angle_set(a_count):
     return 2.0 * np.pi * np.sin(arg)
 
 
-def _d2d(x, y, tx):
-    return math.hypot(x - tx[0], y - tx[1])
+# headings drawn before an escaping walk steps straight toward the TX
+_MAX_REDRAWS = 100
 
 
-def gen_trajectory(start, steps, delta2d, headings, seed,
-                   tx=DEFAULT_TX, max_d2d=600.0, hold_range=(100, 500),
-                   max_redraws=100):
+def _d2d(x, y):
+    return math.hypot(x - DEFAULT_TX[0], y - DEFAULT_TX[1])
+
+
+def gen_trajectory(start, steps, delta2d, headings, seed, max_d2d=600.0,
+                   hold_range=(100, 500)):
     """Generate a receiver walk of ``steps`` points (including the start),
     returned as a (steps, 3) array in meters; z stays at the start height.
 
     A heading is drawn uniformly from the heading set and held for H
     consecutive steps, H uniform on {hold_range[0], ..., hold_range[1]}.
     A fresh heading is drawn when the hold expires or when the horizontal
-    TX-RX distance exceeds ``max_d2d``; in the latter case headings are
-    redrawn until the next step strictly shrinks that distance (after
-    ``max_redraws`` tries the walk steps straight toward the TX). Each step
-    moves ``delta2d`` meters along the current heading.
+    distance to ``DEFAULT_TX`` exceeds ``max_d2d``; in the latter case
+    headings are redrawn until the next step strictly shrinks that distance
+    (after ``_MAX_REDRAWS`` tries the walk steps straight toward the TX).
+    Each step moves ``delta2d`` meters along the current heading.
     """
     if steps < 1:
         raise ValueError("trajectory needs at least one point")
@@ -141,11 +142,10 @@ def gen_trajectory(start, steps, delta2d, headings, seed,
     heading = 0.0
     hold = 0
     for _ in range(steps - 1):
-        far = _d2d(x, y, tx) > max_d2d
+        far = _d2d(x, y) > max_d2d
         if hold <= 0 or far:
             if far:
-                heading = _escape_heading(x, y, tx, headings, delta2d, rng,
-                                          max_redraws)
+                heading = _escape_heading(x, y, headings, delta2d, rng)
             else:
                 heading = headings[rng.integers(0, len(headings))]
             hold = int(rng.integers(hold_range[0], hold_range[1] + 1))
@@ -157,56 +157,23 @@ def gen_trajectory(start, steps, delta2d, headings, seed,
     return np.column_stack((xs, ys, np.full(steps, z)))
 
 
-def _escape_heading(x, y, tx, headings, delta2d, rng, max_redraws):
-    d_here = _d2d(x, y, tx)
-    for _ in range(max_redraws):
+def _escape_heading(x, y, headings, delta2d, rng):
+    d_here = _d2d(x, y)
+    for _ in range(_MAX_REDRAWS):
         theta = headings[rng.integers(0, len(headings))]
-        if _d2d(x + delta2d * math.cos(theta), y + delta2d * math.sin(theta),
-                tx) < d_here:
+        if _d2d(x + delta2d * math.cos(theta),
+                y + delta2d * math.sin(theta)) < d_here:
             return theta
-    return math.atan2(tx[1] - y, tx[0] - x)
+    return math.atan2(DEFAULT_TX[1] - y, DEFAULT_TX[0] - x)
 
 
 # ---------------------------------------------------------------------------
 # channel synthesis
 
-def pathloss_db(d3d, fc_ghz, h_rx):
-    """Urban-macro NLOS pathloss (3GPP TR 38.901 Table 7.4.1-1): distance in
-    meters, carrier in GHz, RX (UT) height in meters."""
-    if d3d <= 0:
-        raise ValueError("distance must be positive")
-    if fc_ghz <= 0:
-        raise ValueError("carrier frequency must be positive")
-    return (13.54 + 39.08 * math.log10(d3d) + 20.0 * math.log10(fc_ghz)
-            - 0.6 * (h_rx - 1.5))
-
-
-def mpc_geometry(tx, rx, sc):
-    """Delay and the four angles of the single-bounce path TX -> sc -> RX.
-
-    Angles follow the arctan expressions of the source model, evaluated with
-    the two-argument arctangent so every result lies in (-pi, pi]. This is
-    the scalar reference for ``channel_rows``.
-    """
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = np.asarray(rx, dtype=np.float64)
-    sc = np.asarray(sc, dtype=np.float64)
-    d_tx_sc = float(np.linalg.norm(sc - tx))
-    d_sc_rx = float(np.linalg.norm(rx - sc))
-    if d_tx_sc == 0.0 or d_sc_rx == 0.0:
-        raise ValueError("scatterer coincides with an endpoint")
-    delay = (d_tx_sc + d_sc_rx) / SPEED_OF_LIGHT
-    d2d_sc_rx = math.hypot(sc[0] - rx[0], sc[1] - rx[1])
-    az_dod = math.atan2(sc[1] - rx[1], sc[0] - rx[0])
-    az_doa = math.atan2(rx[1] - sc[1], rx[0] - sc[0])
-    zn_dod = math.atan2(d2d_sc_rx, rx[2] - sc[2])
-    zn_doa = math.atan2(d2d_sc_rx, sc[2] - rx[2])
-    return delay, az_dod, zn_dod, az_doa, zn_doa
-
-
 # Elementwise ``math`` functions. The numpy ufuncs may differ from them in
 # the last ulp (SIMD implementations), and the dataset bytes must equal the
-# scalar reference above.
+# scalar per-path reference (``mpc_geometry`` and ``pathloss_db`` in
+# ``tests/conftest.py``).
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _log10 = np.frompyfunc(math.log10, 1, 1)
@@ -223,10 +190,11 @@ def channel_rows(tx, rx, scatterers, fc_ghz):
     """Dataset rows (ns / degrees / dBm) for RX positions ``rx`` (steps, 3)
     seeing the single-bounce paths through ``scatterers`` (N, 3).
 
-    Per-path gain applies the pathloss law to the unfolded propagation
-    distance d(tx, sc) + d(sc, rx). Every value is bit-identical to
-    ``mpc_geometry`` and ``pathloss_db`` applied point by point and path by
-    path.
+    Per-path gain applies the urban-macro NLOS pathloss law (3GPP TR 38.901
+    Table 7.4.1-1) to the unfolded propagation distance d(tx, sc) +
+    d(sc, rx). Angles are two-argument arctangents, so each lies in
+    (-pi, pi]. Every value is bit-identical to the scalar reference applied
+    point by point and path by path.
     """
     sc = np.asarray(scatterers, dtype=np.float64).reshape(-1, 3)
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
@@ -245,7 +213,8 @@ def channel_rows(tx, rx, scatterers, fc_ghz):
     d2d = _hypot(out[..., 0], out[..., 1])
     angles = (_atan2(out[..., 1], out[..., 0]), _atan2(d2d, back[..., 2]),
               _atan2(back[..., 1], back[..., 0]), _atan2(d2d, out[..., 2]))
-    # pathloss_db in the same operation order; the RX height is per point
+    # 13.54 + 39.08 log10(d) + 20 log10(fc) - 0.6 (h_rx - 1.5), in the
+    # reference's operation order; the RX height is per point
     log_fc = 20.0 * math.log10(fc_ghz)
     height = 0.6 * (rx[:, 2:3] - 1.5)
     gain_db = -((13.54 + 39.08 * _log10(delay * SPEED_OF_LIGHT).astype(float)

@@ -204,25 +204,17 @@ def sdb_decode(x, window):
     return concat([rows, repeat(placeholder, window - lag, axis=1)], axis=1)
 
 
-_PE_CACHE = {}
-
-
 def positional_encoding(length, d_model):
     """Sinusoidal position table, shaped (1, length, d_model) for adding."""
     if d_model % 2 != 0:
         raise ValueError("positional encoding needs an even width")
-    key = (length, d_model)
-    if key not in _PE_CACHE:
-        pos = np.arange(length, dtype=np.float64)[:, None]
-        idx = np.arange(0, d_model, 2, dtype=np.float64)
-        freq = 1.0 / np.power(10000.0, idx / d_model)
-        pe = np.zeros((length, d_model))
-        pe[:, 0::2] = np.sin(pos * freq)
-        pe[:, 1::2] = np.cos(pos * freq)
-        pe = pe[None, :, :]
-        pe.setflags(write=False)
-        _PE_CACHE[key] = pe
-    return _PE_CACHE[key]
+    pos = np.arange(length, dtype=np.float64)[:, None]
+    idx = np.arange(0, d_model, 2, dtype=np.float64)
+    freq = 1.0 / np.power(10000.0, idx / d_model)
+    pe = np.zeros((length, d_model))
+    pe[:, 0::2] = np.sin(pos * freq)
+    pe[:, 1::2] = np.cos(pos * freq)
+    return pe[None, :, :]
 
 
 def projected_mha(x_q, x_kv, params, prefix):

@@ -133,11 +133,6 @@ def split_ranges(dataset, train_frac):
     return [(lo, cut)], [(cut, hi)]
 
 
-def window_batches(windows, batch_size):
-    for i in range(0, len(windows), batch_size):
-        yield windows[i:i + batch_size]
-
-
 def _window_rows(starts, first, length):
     """(windows, length) row indices: ``length`` rows from ``first`` rows
     past each window's start."""
@@ -171,15 +166,20 @@ class LossWeights:
                    alpha_zn=d["alpha_zn"], alpha_g=d["alpha_g"])
 
 
-def _reciprocal_mean(values, alpha_max):
+# the clamp on each loss weight, which a zero statistic would make infinite
+ALPHA_MAX = 1e12
+
+
+def _reciprocal_mean(values):
     m = float(np.mean(np.abs(values)))
     if m <= 0.0:
-        return alpha_max
-    return min(1.0 / m, alpha_max)
+        return ALPHA_MAX
+    return min(1.0 / m, ALPHA_MAX)
 
 
-def calibrate_weights(stats, alpha_max=1e12):
-    """Reciprocal-of-mean weights so alpha * (typical statistic) is near 1.
+def calibrate_weights(stats):
+    """Reciprocal-of-mean weights so alpha * (typical statistic) is near 1,
+    each clamped at ``ALPHA_MAX``.
 
     ``stats`` is a ``chanstats.row_stats`` dict over the training rows.
     """
@@ -188,10 +188,9 @@ def calibrate_weights(stats, alpha_max=1e12):
     az = np.concatenate([stats["az_dod_spread"], stats["az_doa_spread"]])
     zn = np.concatenate([stats["zn_dod_spread"], stats["zn_doa_spread"]])
     return LossWeights(
-        alpha_tau=_reciprocal_mean(stats["delay_spread"], alpha_max),
-        alpha_az=_reciprocal_mean(az, alpha_max),
-        alpha_zn=_reciprocal_mean(zn, alpha_max),
-        alpha_g=_reciprocal_mean(stats["gains_db"].ravel(), alpha_max))
+        alpha_tau=_reciprocal_mean(stats["delay_spread"]),
+        alpha_az=_reciprocal_mean(az), alpha_zn=_reciprocal_mean(zn),
+        alpha_g=_reciprocal_mean(stats["gains_db"].ravel()))
 
 
 class NonFiniteStat(RuntimeError):
@@ -329,9 +328,9 @@ class AdamW:
         self.t = t
 
 
-def learning_rate(lr0, epoch, decay=0.9, every=10):
-    """Schedule: the rate shrinks by the decay factor every ``every`` epochs."""
-    return lr0 * decay ** (epoch // every)
+def learning_rate(lr0, epoch):
+    """Schedule: the rate shrinks by 10% every 10 epochs."""
+    return lr0 * 0.9 ** (epoch // 10)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +407,11 @@ def load_train_checkpoint(path, optimizer=True):
     if unexpected:
         raise ConfigError("%s holds tensor %r, which its model does not "
                           "have" % (path, unexpected[0]))
-    params = {}
-    opt_arrays = {}
-    scaler_fields = {}
-    for name, arr in arrays.items():
-        if name.startswith("opt."):
-            opt_arrays[name] = arr
-        elif name.startswith("scaler."):
-            scaler_fields[name.split(".", 1)[1]] = arr
-        else:
-            # the reader's arrays are fresh: wrapped without another copy
-            params[name] = ad.Tensor(arr, requires_grad=True)
-    scaler = ScalerSpec(mins=scaler_fields["mins"], maxs=scaler_fields["maxs"],
-                        fixed_mask=scaler_fields["fixed"].astype(bool),
+    # the reader's arrays are fresh: wrapped without another copy
+    params = {k: ad.Tensor(arrays[k], requires_grad=True) for k in names}
+    opt_arrays = {k: v for k, v in arrays.items() if k.startswith("opt.")}
+    scaler = ScalerSpec(mins=arrays["scaler.mins"], maxs=arrays["scaler.maxs"],
+                        fixed_mask=arrays["scaler.fixed"].astype(bool),
                         n_paths=int(meta["n_paths"]))
     return params, scaler, opt_arrays, meta
 
@@ -526,8 +517,8 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         lr = learning_rate(cfg.lr, epoch)
         order = rng.permutation(len(starts))
         total_loss = 0.0
-        for batch_idx in window_batches(order, cfg.batch_size):
-            batch = starts[batch_idx]
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = starts[order[lo:lo + cfg.batch_size]]
             hist, targ = gather_window_arrays(rows_scaled, batch,
                                               model_cfg.lag, model_cfg.window)
             # the last step's parameter gradients are spent: free them

@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
-from conftest import (oracle_angular_spread, oracle_delay_spread, paths_row,
-                      random_feature_rows, tiny_model_config)
+from conftest import (grad_check, oracle_angular_spread, oracle_delay_spread,
+                      pathloss_db, paths_row, random_feature_rows, sum_all,
+                      tiny_model_config)
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, cli, gscm, trainer
@@ -68,8 +69,8 @@ def test_criterion_1_statistics_oracle_equivalence():
 # criterion 2: pathloss golden values
 
 def test_criterion_2_pathloss_golden_values():
-    near = gscm.pathloss_db(100.0, 2.4, 1.5)
-    far = gscm.pathloss_db(1000.0, 2.4, 1.5)
+    near = pathloss_db(100.0, 2.4, 1.5)
+    far = pathloss_db(1000.0, 2.4, 1.5)
     ok = abs(near - 99.3042) < 1e-4 and abs(far - 138.3842) < 1e-4
     _report("criterion 2 pathloss golden values", ok,
             "PL(100m)=%.6f dB, PL(1000m)=%.6f dB" % (near, far))
@@ -135,40 +136,40 @@ def test_criterion_4_gradient_integrity():
     w = ad.tensor(rng.uniform(-0.5, 0.5, (6, 4)))
     b = ad.tensor(rng.uniform(-0.5, 0.5, (1, 1, 4)))
     x_lin = ad.const(rng.uniform(-1, 1, (2, 3, 6)))
-    errs["linear"] = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.affine(x_lin, w, b))), [w, b])
+    errs["linear"] = grad_check(
+        lambda: sum_all(ad.square(ad.affine(x_lin, w, b))), [w, b])
 
     attn_params = {}
     ht.attention_params(attn_params, "a", 8, 2, rank=3, kv_len=5,
                         rng=np.random.default_rng(9))
     x_attn = ad.const(rng.standard_normal((1, 5, 8)))
-    errs["softmax attention head"] = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ht.projected_mha(
+    errs["softmax attention head"] = grad_check(
+        lambda: sum_all(ad.square(ht.projected_mha(
             x_attn, x_attn, attn_params, "a"))),
         list(attn_params.values()))
 
     x_sdb = ad.tensor(rng.uniform(-1, 1, (1, 5, 4)))
-    errs["series decomposition"] = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ht.sdb_decode(x_sdb, 8))), [x_sdb])
+    errs["series decomposition"] = grad_check(
+        lambda: sum_all(ad.square(ht.sdb_decode(x_sdb, 8))), [x_sdb])
 
     lstm_params = {}
     ht._lstm_params(lstm_params, "l.0", 5, 3, np.random.default_rng(10))
     x_lstm = ad.const(rng.uniform(-1, 1, (1, 4, 5)))
-    errs["bilstm cell"] = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ht.bilstm_forward(x_lstm, lstm_params,
-                                                       "l", 3))),
+    errs["bilstm cell"] = grad_check(
+        lambda: sum_all(ad.square(ht.bilstm_forward(x_lstm, lstm_params,
+                                                    "l", 3))),
         list(lstm_params.values()))
 
     cfg = tiny_model_config()
     params = init_params(cfg, seed=12)
     hist = rng.uniform(0, 1, (1, cfg.lag, cfg.feature_dim))
-    errs["hybrid model"] = ad.grad_check(
+    errs["hybrid model"] = grad_check(
         lambda: ad.mean_all(ad.square(ht.hybrid_forward(hist, cfg, params))),
         list(params.values()))
 
     pred = ad.tensor(rng.uniform(-2, 2, (3, 4)))
     target = ad.const(rng.uniform(-2, 2, (3, 4)) + 2.7)
-    errs["smooth l1"] = ad.grad_check(
+    errs["smooth l1"] = grad_check(
         lambda: ad.mean_all(ad.smooth_l1(pred, target, 1.0)), [pred])
 
     rows = random_feature_rows(8, 2, seed=13)
@@ -176,7 +177,7 @@ def test_criterion_4_gradient_integrity():
     weights = trainer.LossWeights(2e6, 2.0, 30.0, 0.01)
     true_scaled = scaler.scale(rows[:3])[None]
     gen = ad.tensor(scaler.scale(rows[3:6])[None])
-    errs["stats loss"] = ad.grad_check(
+    errs["stats loss"] = grad_check(
         lambda: trainer.stats_loss(true_scaled, gen, scaler, weights, 1.0),
         [gen], eps=1e-6)
 

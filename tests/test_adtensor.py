@@ -1,11 +1,10 @@
-import ast
 import inspect
-import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import grad_check, sum_all
 
 from ddgen import adtensor as ad
 from ddgen import htransformer as ht
@@ -30,14 +29,14 @@ def test_backward_identity_seed():
 
 def test_backward_sum_of_squares():
     x = ad.tensor(np.array([1.0, 2.0]))
-    ad.sum_all(ad.mul(x, x)).backward()
+    sum_all(ad.mul(x, x)).backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_backward_accumulates_without_reset():
     x = ad.tensor(np.array([1.0, 2.0]))
-    ad.sum_all(ad.mul(x, x)).backward()
-    ad.sum_all(ad.mul(x, x)).backward()
+    sum_all(ad.mul(x, x)).backward()
+    sum_all(ad.mul(x, x)).backward()
     assert np.allclose(x.grad, [4.0, 8.0])
     ad.zero_grad([x])
     assert x.grad is None
@@ -47,9 +46,9 @@ def test_gradient_linearity_over_partition():
     # the gradient of a partitioned sum equals the gradient of the full sum
     x1 = ad.tensor(rnd((6, 4), seed=4))
     x2 = ad.tensor(x1.data.copy())
-    ad.sum_all(ad.mul(x1, x1)).backward()
-    top = ad.sum_all(ad.mul(ad.narrow(x2, 0, 0, 3), ad.narrow(x2, 0, 0, 3)))
-    bot = ad.sum_all(ad.mul(ad.narrow(x2, 0, 3, 3), ad.narrow(x2, 0, 3, 3)))
+    sum_all(ad.mul(x1, x1)).backward()
+    top = sum_all(ad.mul(ad.narrow(x2, 0, 0, 3), ad.narrow(x2, 0, 0, 3)))
+    bot = sum_all(ad.mul(ad.narrow(x2, 0, 3, 3), ad.narrow(x2, 0, 3, 3)))
     ad.add(top, bot).backward()
     assert np.abs(x1.grad - x2.grad).max() < 1e-12
 
@@ -75,7 +74,7 @@ def test_shape_mismatch_reports_op_name():
 def test_sqrt_and_div_gradients():
     x = ad.tensor(rnd((4, 3), seed=9, lo=0.5, hi=3.0))
     y = ad.tensor(rnd((4, 3), seed=10, lo=0.5, hi=3.0))
-    err = ad.grad_check(lambda: ad.sum_all(ad.div(ad.sqrt(x), y)), [x, y])
+    err = grad_check(lambda: sum_all(ad.div(ad.sqrt(x), y)), [x, y])
     assert err < 1e-8
 
 
@@ -83,7 +82,7 @@ def test_db_to_linear_matches_power_law():
     g = rnd((3, 5), seed=11, lo=-120, hi=-60)
     t = ad.tensor(g)
     assert np.allclose(ad.db_to_linear(t).data, 10.0 ** (g / 10.0), rtol=1e-14)
-    err = ad.grad_check(lambda: ad.sum_all(ad.scale(ad.db_to_linear(t), 1e8)), [t])
+    err = grad_check(lambda: sum_all(ad.scale(ad.db_to_linear(t), 1e8)), [t])
     assert err < 1e-6
 
 
@@ -91,18 +90,18 @@ def test_broadcast_gradients():
     x = ad.tensor(rnd((2, 4, 5), seed=12))
     v = ad.tensor(rnd((2, 4, 1), seed=13, lo=0.5, hi=2.0))
     r = ad.tensor(rnd((1, 1, 5), seed=14))
-    err = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.add(ad.mul(x, v), r))), [x, v, r])
+    err = grad_check(
+        lambda: sum_all(ad.square(ad.add(ad.mul(x, v), r))), [x, v, r])
     assert err < 1e-8
 
 
 def test_reduction_gradients():
     x = ad.tensor(rnd((3, 4, 5), seed=15))
-    err = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.mean_axis(x, 1, keepdims=True))), [x])
+    err = grad_check(
+        lambda: sum_all(ad.square(ad.mean_axis(x, 1, keepdims=True))), [x])
     assert err < 1e-8
-    err = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.sum_axis(x, -1, keepdims=False))), [x])
+    err = grad_check(
+        lambda: sum_all(ad.square(ad.sum_axis(x, -1, keepdims=False))), [x])
     assert err < 1e-8
 
 
@@ -114,15 +113,15 @@ def test_structure_op_gradients():
         b = ad.gather_last(x, [0, 2, 2, 5])
         c = ad.repeat(ad.mean_axis(x, 1, keepdims=True), 4, axis=1)
         d = ad.gather_last(x, [5, 1, 3])  # unique columns
-        return ad.sum_all(ad.square(ad.concat(
+        return sum_all(ad.square(ad.concat(
             [a, ad.narrow(b, 1, 0, 3), ad.narrow(c, 1, 0, 3),
              ad.narrow(d, 1, 2, 3)], axis=-1)))
 
-    assert ad.grad_check(f, [x]) < 1e-8
+    assert grad_check(f, [x]) < 1e-8
 
 
 def _weighted_sum(parts, seed):
-    terms = [ad.sum_all(ad.mul(p, ad.const(rnd(p.shape, seed=seed + k))))
+    terms = [sum_all(ad.mul(p, ad.const(rnd(p.shape, seed=seed + k))))
              for k, p in enumerate(parts)]
     total = terms[0]
     for t in terms[1:]:
@@ -219,7 +218,7 @@ def _lstm_composition(x_fw, x_bw, wh_fw, wh_bw):
 @pytest.mark.parametrize("t_len", [1, 4])
 def test_lstm_bidir_gradients(t_len):
     inputs = _lstm_inputs(2, t_len, 3, seed=34)
-    err = ad.grad_check(
+    err = grad_check(
         lambda: _weighted_sum([ad.lstm_bidir(*inputs)], seed=38), inputs)
     assert err < 1e-8
 
@@ -230,7 +229,7 @@ def test_lstm_bidir_gradients_through_two_layers():
     for i, d_in in enumerate((3, 4)):
         ht._lstm_params(params, "l.%d" % i, d_in, 2, rng)
     x = ad.tensor(rnd((2, 3, 3), seed=40))
-    err = ad.grad_check(
+    err = grad_check(
         lambda: _weighted_sum([ht.bilstm_forward(x, params, "l", 2, 2)],
                               seed=41),
         [x] + list(params.values()))
@@ -281,8 +280,8 @@ def test_layer_norm_gradient():
     a = ad.tensor(rnd((2, 3, 8), seed=18))
     g = ad.tensor(np.ones((1, 1, 8)))
     b = ad.tensor(np.zeros((1, 1, 8)))
-    err = ad.grad_check(
-        lambda: ad.sum_all(ad.square(ad.add_layer_norm(x, a, g, b))),
+    err = grad_check(
+        lambda: sum_all(ad.square(ad.add_layer_norm(x, a, g, b))),
         [x, a, g, b])
     assert err < 1e-6
 
@@ -504,20 +503,20 @@ def test_smooth_l1_values_and_junction():
 def test_smooth_l1_gradient():
     x = ad.tensor(rnd((4, 4), seed=19))
     y = ad.const(rnd((4, 4), seed=20) + 3.5)  # keep |d| away from the kink
-    err = ad.grad_check(lambda: ad.mean_all(ad.smooth_l1(x, y, 1.0)), [x])
+    err = grad_check(lambda: ad.mean_all(ad.smooth_l1(x, y, 1.0)), [x])
     assert err < 1e-8
 
 
 def test_grad_check_rejects_nonscalar():
     x = ad.tensor(rnd((2, 2)))
     with pytest.raises(ValueError, match="scalar"):
-        ad.grad_check(lambda: ad.mul(x, x), [x])
+        grad_check(lambda: ad.mul(x, x), [x])
 
 
 def test_backward_seed_shape_check():
     x = ad.tensor(rnd((2, 2)))
     with pytest.raises(ValueError, match="seed"):
-        ad.sum_all(x).backward(np.ones((2, 2)))
+        sum_all(x).backward(np.ones((2, 2)))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -632,7 +631,7 @@ def test_constant_operands_get_no_gradient():
     c = ad.const(rnd((2, 3, 4), seed=56))
     b = ad.const(rnd((1, 1, 5), seed=57))
     hidden = ad.affine(ad.mul(ad.add(x, c), c), w, b)
-    out = ad.sum_all(ad.concat([hidden, ad.affine(c, w, b)], axis=-1))
+    out = sum_all(ad.concat([hidden, ad.affine(c, w, b)], axis=-1))
     # only differentiable inputs are kept as parents (backward releases them)
     assert hidden._parents and all(p.requires_grad for p in hidden._parents)
     out.backward()
@@ -655,7 +654,7 @@ def _interior(root):
 def test_backward_releases_interior_nodes():
     x, w = ad.tensor(rnd((2, 3, 4), seed=83)), ad.tensor(rnd((4, 5), seed=84))
     b = ad.tensor(rnd((1, 1, 5), seed=85))
-    out = ad.sum_all(ad.square(ad.relu(ad.affine(ad.sin(x), w, b))))
+    out = sum_all(ad.square(ad.relu(ad.affine(ad.sin(x), w, b))))
     interior = _interior(out)
     assert len(interior) == 5
     out.backward()
@@ -670,10 +669,10 @@ def test_backward_releases_interior_nodes():
 def test_backward_refuses_a_released_graph():
     x = ad.tensor(rnd((3,), seed=86))
     hidden = ad.square(x)
-    out = ad.sum_all(hidden)
+    out = sum_all(hidden)
     out.backward()
     grad = x.grad
-    for spent in (out, ad.sum_all(ad.sin(hidden))):
+    for spent in (out, sum_all(ad.sin(hidden))):
         with pytest.raises(RuntimeError, match="released by an earlier "
                                                "backward"):
             spent.backward()
@@ -735,7 +734,7 @@ GRAD_CASES = {
     "gather_last-13": lambda: _case(ad.gather_last, _t((2, 5), 23),
                                     [4, 0, 4, 2]),
     "repeat-14": lambda: _case(ad.repeat, _t((2, 1, 3), 24), 4, 1),
-    "sum_all-15": lambda: _case(lambda a: ad.square(ad.sum_all(a)),
+    "sum_all-15": lambda: _case(lambda a: ad.square(sum_all(a)),
                                 _t((2, 3), 25)),
     "mean_all-16": lambda: _case(lambda a: ad.square(ad.mean_all(a)),
                                  _t((2, 3), 26)),
@@ -758,52 +757,21 @@ GRAD_CASES = {
         keep=rnd((2, 3, 6), seed=48, lo=0.0, hi=1.0) >= 0.3, p=0.3),
 }
 # public functions of adtensor that are not differentiable ops
-NOT_OPS = {"tensor", "const", "zero_grad", "grad_check", "save_checkpoint",
-           "load_checkpoint"}
-# ops that no other ddgen module calls, kept only for the tests: sum_all
-# closes the graphs of the gradient checks
-TEST_SUPPORT = {"sum_all"}
+NOT_OPS = {"tensor", "const", "zero_grad", "save_checkpoint", "load_checkpoint"}
+# cases that check a test helper, not an adtensor op: sum_all closes the
+# graphs of every other case
+HELPER_CASES = {"sum_all"}
 
 
 @pytest.mark.parametrize("make", GRAD_CASES.values(), ids=list(GRAD_CASES))
 def test_op_gradients(make):
     fn, params = make()
-    assert ad.grad_check(fn, params) < 1e-7
-
-
-def _adtensor_calls():
-    """Names of the adtensor functions the other ddgen modules call: as
-    ``name(...)`` after ``from .adtensor import name``, or as
-    ``alias.name(...)`` after ``from . import adtensor as alias``."""
-    called = set()
-    for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "adtensor.py":
-            continue
-        tree = ast.parse(path.read_text())
-        names, aliases = set(), set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "adtensor":
-                names.update(a.asname or a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                aliases.update(a.asname or a.name for a in node.names
-                               if a.name == "adtensor")
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if isinstance(f, ast.Name) and f.id in names:
-                called.add(f.id)
-            elif (isinstance(f, ast.Attribute)
-                  and isinstance(f.value, ast.Name) and f.value.id in aliases):
-                called.add(f.attr)
-    return called
+    assert grad_check(fn, params) < 1e-7
 
 
 def test_grad_cases_cover_every_differentiable_op():
     public = {name for name, fn in vars(ad).items()
               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
               and not name.startswith("_")}
-    ops = public - NOT_OPS
-    assert ops == {case.rsplit("-", 1)[0] for case in GRAD_CASES}
-    # every op serves a command, or is named as test support
-    assert ops - _adtensor_calls() == TEST_SUPPORT
+    cases = {case.rsplit("-", 1)[0] for case in GRAD_CASES}
+    assert public - NOT_OPS == cases - HELPER_CASES

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (oracle_angular_spread, oracle_delay_spread, paths_row,
-                      random_feature_rows)
+from conftest import (mpc_geometry, oracle_angular_spread, oracle_delay_spread,
+                      pathloss_db, paths_row, random_feature_rows)
 
 from ddgen import chanstats, gscm
 
@@ -117,16 +117,15 @@ def test_empirical_cdf_counting():
 
 
 def test_empirical_cdf_single_point():
-    cdf = chanstats.empirical_cdf([5.0], chanstats.pooled_grid([[5.0]], 2))
-    assert np.array_equal(cdf.grid, [5.0, 5.0])
-    assert np.array_equal(cdf.values, [1.0, 1.0])
+    cdf = chanstats.empirical_cdf([5.0], chanstats.pooled_grid([[5.0]]))
+    assert np.array_equal(cdf.grid, np.full(chanstats.CDF_GRID_SIZE, 5.0))
+    assert np.array_equal(cdf.values, np.ones(chanstats.CDF_GRID_SIZE))
 
 
 def test_empirical_cdf_properties():
     rng = np.random.default_rng(9)
     samples = rng.uniform(0, 1, 10000)
-    cdf = chanstats.empirical_cdf(samples,
-                                  chanstats.pooled_grid([samples], 512))
+    cdf = chanstats.empirical_cdf(samples, chanstats.pooled_grid([samples]))
     assert np.all(np.diff(cdf.values) >= 0)
     assert cdf.values.min() >= 0 and cdf.values.max() <= 1
     assert cdf.values[-1] == 1.0
@@ -168,8 +167,9 @@ def test_cdf_mse_db_rejects_mismatched_grids():
 
 
 def test_cdf_pair_shares_pooled_grid():
-    a, b = chanstats.cdf_pair([1.0, 2.0, 3.0], [2.0, 5.0], grid_size=64)
+    a, b = chanstats.cdf_pair([1.0, 2.0, 3.0], [2.0, 5.0])
     assert np.array_equal(a.grid, b.grid)
+    assert len(a.grid) == chanstats.CDF_GRID_SIZE
     assert a.grid[0] == 1.0 and a.grid[-1] == 5.0
     assert a.values[-1] == 1.0 and b.values[-1] == 1.0
 
@@ -217,9 +217,9 @@ def test_window_stats_composition():
 def _si_paths(tx, rx, field, fc_ghz):
     """Per-path SI values from the scalar geometry and pathloss reference:
     gains (dB) and the columns delay (s), az/zn DoD, az/zn DoA (rad)."""
-    geo = np.array([gscm.mpc_geometry(tx, rx, sc) for sc in field])
-    gains = np.array([-gscm.pathloss_db(d * gscm.SPEED_OF_LIGHT, fc_ghz,
-                                        rx[2]) for d in geo[:, 0]])
+    geo = np.array([mpc_geometry(tx, rx, sc) for sc in field])
+    gains = np.array([-pathloss_db(d * gscm.SPEED_OF_LIGHT, fc_ghz,
+                                   rx[2]) for d in geo[:, 0]])
     return gains, geo
 
 

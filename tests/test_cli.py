@@ -352,6 +352,51 @@ def test_table_rejects_malformed_cells(tmp_path, capsys, how):
             assert rc == 0 and captured.out == ""
 
 
+@pytest.mark.parametrize("how", ["no-grid", "no-true", "short-gen",
+                                 "not-a-map"])
+def test_export_cdfs_checks_every_cdf_before_writing(tmp_path, capsys, how):
+    path = str(tmp_path / "report.json")
+    cdf = {"grid": [0.0, 1.0], "true": [0.5, 1.0], "gen": [0.0, 1.0]}
+    payload = {"cells": [_delay_cell(4, -30.0)], "row_ranges": {},
+               "cdfs": {model: {name: dict(cdf) for name in trainer.EVAL_STATS}
+                        for model in ("gen", "untrained")}}
+    # the last entry written, so every other file would come first
+    bad = payload["cdfs"]["untrained"]
+    name = sorted(bad)[-1]
+    if how == "not-a-map":
+        bad[name] = [0.0, 1.0]
+    elif how == "short-gen":
+        bad[name]["gen"] = [1.0]
+    else:
+        del bad[name][how[3:]]
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    out_dir = str(tmp_path / "cdfs")
+    rc = cli.main(["export-cdfs", "--report", path, "--out", out_dir])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert ("report.json: the %s CDF of model untrained lacks grid, true and "
+            "gen lists of one length" % name) in captured.err
+    assert captured.out == "" and not os.path.exists(out_dir)
+
+
+def test_table_refuses_to_mix_lags(tmp_path, capsys):
+    r20, r40 = str(tmp_path / "l20.json"), str(tmp_path / "l40.json")
+    _write_report(r20, [_delay_cell(10, -30.0)])
+    _write_report(r40, [dict(_delay_cell(10, -10.0), L=40)])
+    out = str(tmp_path / "table.txt")
+    assert cli.main(["table", r20, r40, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert ("delay_spread / gen mixes cells of lag L 20 and L 40"
+            in captured.err)
+    assert captured.out == "" and not os.path.exists(out)
+    # one lag per (statistic, model) block: other blocks may differ
+    _write_report(r40, [dict(_delay_cell(10, -10.0), L=40, model="pred")])
+    assert cli.main(["table", r20, r40]) == 0
+    text = capsys.readouterr().out
+    assert "-30.0000" in text and "-10.0000" in text
+
+
 def test_reference_table(capsys):
     assert cli.main(["reference"]) == 0
     out = capsys.readouterr().out

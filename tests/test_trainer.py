@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_feature_rows, tiny_model_config, tiny_run_config
+from conftest import (grad_check, random_feature_rows, tiny_model_config,
+                      tiny_run_config)
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, gscm, trainer
@@ -149,9 +150,8 @@ def test_calibrate_weights_unit_stats_give_unit_weights():
 
 
 def test_calibrate_weights_clamp_on_zero_stats():
-    w = trainer.calibrate_weights(_stats(1, 0.0, 0.0, 0.0, 0.0),
-                                  alpha_max=1e12)
-    assert w.alpha_tau == 1e12
+    w = trainer.calibrate_weights(_stats(1, 0.0, 0.0, 0.0, 0.0))
+    assert w.alpha_tau == trainer.ALPHA_MAX == 1e12
 
 
 def test_calibration_normalizes_gscm_statistics(small_dataset):
@@ -318,7 +318,7 @@ def test_stats_loss_gradient_finite_differences(small_dataset, small_scaler):
     w = trainer.LossWeights(2e6, 2.0, 30.0, 0.01)
     targ = small_scaler.scale(small_dataset.rows[:3])[None]
     gen = ad.tensor(small_scaler.scale(small_dataset.rows[3:6])[None])
-    err = ad.grad_check(
+    err = grad_check(
         lambda: trainer.stats_loss(targ, gen, small_scaler, w, 1.0), [gen],
         eps=1e-6)
     assert err < 1e-4
