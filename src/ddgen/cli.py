@@ -127,6 +127,8 @@ def cmd_train(args):
 
 # the keys of one table cell: a CDF distance (dB) and where it was measured
 CELL_KEYS = ("statistic", "model", "L", "P", "delta2d", "cdf_mse_db")
+# the keys whose values are names; every other cell value is a number
+_CELL_NAMES = ("statistic", "model")
 
 
 def _cell(*values):
@@ -182,11 +184,18 @@ def cmd_evaluate(args):
     return 0
 
 
+def _cell_value_ok(key, value):
+    if key in _CELL_NAMES:
+        return isinstance(value, str)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_report(path):
     """The payload of an evaluate ``report.json``. A file that is not JSON,
-    lacks ``cells`` or ``cdfs``, holds a cell without one of ``CELL_KEYS``,
-    or a CDF without ``grid``, ``true`` and ``gen`` lists of one length
-    raises ValueError naming the file."""
+    lacks ``cells`` or ``cdfs``, whose ``cells`` is not a list of objects
+    holding every one of ``CELL_KEYS`` (names as strings, the rest as
+    numbers), or that holds a CDF without ``grid``, ``true`` and ``gen``
+    lists of one length raises ValueError naming the file."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -196,11 +205,18 @@ def _read_report(path):
     for key in ("cells", "cdfs"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError("%s: the report lacks %r" % (path, key))
+    if not isinstance(payload["cells"], list):
+        raise ValueError("%s: 'cells' is not a list" % path)
     for i, cell in enumerate(payload["cells"]):
         missing = [k for k in CELL_KEYS
                    if not isinstance(cell, dict) or k not in cell]
         if missing:
             raise ValueError("%s: cell %d lacks %r" % (path, i, missing[0]))
+        bad = [k for k in CELL_KEYS if not _cell_value_ok(k, cell[k])]
+        if bad:
+            raise ValueError("%s: cell %d: %r is not a %s" % (
+                path, i, bad[0],
+                "string" if bad[0] in _CELL_NAMES else "number"))
     cdfs = payload["cdfs"]
     if not (isinstance(cdfs, dict)
             and all(isinstance(stats, dict) for stats in cdfs.values())):

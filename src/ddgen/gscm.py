@@ -30,6 +30,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,13 +330,15 @@ def write_dataset(ds, path):
             data = text.encode("ascii")
             text_sha.update(data)
             f.write(data)
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(ds.rows, dtype=np.float64))
-    twin = buf.getvalue()
-    with open(path + TWIN_SUFFIX, "wb") as f:
-        f.write(twin)
-    return {"sha256": text_sha.hexdigest(), "rows": path + TWIN_SUFFIX,
-            "rows_sha256": hashlib.sha256(twin).hexdigest()}
+    # saved straight into the file and hashed from it, so no copy of the
+    # matrix is made
+    twin = path + TWIN_SUFFIX
+    with open(twin, "wb") as f:
+        np.save(f, np.ascontiguousarray(ds.rows, dtype=np.float64))
+    with open(twin, "rb") as f:
+        twin_sha = hashlib.file_digest(f, "sha256")
+    return {"sha256": text_sha.hexdigest(), "rows": twin,
+            "rows_sha256": twin_sha.hexdigest()}
 
 
 def _count(text):
@@ -439,9 +442,11 @@ def _parse_rows(f, path, first_line_no, n_paths):
 def _bound_rows(path, text_sha256, shape):
     """The twin's rows, or None unless all of these hold: the gen manifest
     beside ``path`` records ``text_sha256`` as the text's digest; the twin's
-    bytes hash to the manifest's ``rows_sha256``; and those bytes load as a
-    finite float64 matrix of ``shape``. Any other pair is stale or edited,
-    so a missing, unreadable or mismatched file just means None."""
+    bytes hash to the manifest's ``rows_sha256``; and those bytes are a
+    version 1.0 .npy file (the one ``np.save`` writes) of a finite float64
+    matrix of ``shape``. Any other pair is stale or edited, so a missing,
+    unreadable or mismatched file just means None. The twin is read once
+    into one writable buffer, which the returned rows view."""
     try:
         with open(path + MANIFEST_SUFFIX, "rb") as f:
             manifest = json.load(f)
@@ -453,16 +458,24 @@ def _bound_rows(path, text_sha256, shape):
         return None
     try:
         with open(path + TWIN_SUFFIX, "rb") as f:
-            blob = f.read()
+            blob = bytearray(os.fstat(f.fileno()).st_size)
+            if f.readinto(blob) != len(blob):
+                return None
     except OSError:
         return None
     if hashlib.sha256(blob).hexdigest() != outputs["rows_sha256"]:
         return None
+    # the header is parsed from a copy of the buffer's first bytes, which
+    # hold all of it: a version 1.0 header is at most 10 + 65535 bytes long
+    head = io.BytesIO(blob[:10 + 0xFFFF])
     try:
-        rows = np.load(io.BytesIO(blob), allow_pickle=False)
-    except (OSError, ValueError, EOFError):
+        if np.lib.format.read_magic(head) != (1, 0):
+            return None
+        got_shape, fortran, dtype = np.lib.format.read_array_header_1_0(head)
+    except ValueError:
         return None
-    if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
-            and rows.shape == shape and np.isfinite(rows).all()):
-        return rows
-    return None
+    if (got_shape != shape or fortran or dtype != np.float64
+            or len(blob) - head.tell() != math.prod(shape) * dtype.itemsize):
+        return None
+    rows = np.frombuffer(blob, dtype=dtype, offset=head.tell()).reshape(shape)
+    return rows if np.isfinite(rows).all() else None

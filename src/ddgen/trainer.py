@@ -66,11 +66,17 @@ class ScalerSpec:
     def offset(self):
         return np.where(self.fixed_mask, 0.0, self.mins)
 
+    # each computes into one output array, in the operation order of
+    # (rows - offset) / span and rows * span + offset
     def scale(self, rows):
-        return (np.asarray(rows, dtype=np.float64) - self.offset) / self.span
+        out = np.subtract(rows, self.offset, dtype=np.float64)
+        out /= self.span
+        return out
 
     def unscale(self, rows):
-        return np.asarray(rows, dtype=np.float64) * self.span + self.offset
+        out = np.multiply(rows, self.span, dtype=np.float64)
+        out += self.offset
+        return out
 
 
 def fit_scaler(train_rows, n_paths):
@@ -449,11 +455,16 @@ def _check_resume(meta, model_cfg, cfg, n_paths):
                               "asks for %s=%r" % (key, have.get(key), key, val))
 
 
-def _row_stat_arrays(rows_scaled, scaler, chunk=4096):
+# rows per statistics call where every row is reduced on its own: a bound on
+# the temporaries, which changes no value
+ROW_BLOCK = 4096
+
+
+def _row_stat_arrays(rows_scaled, scaler):
     """``true_stat_arrays`` of every scaled row: spreads (R,), gains (R, N).
-    Computed over blocks of rows, which bounds the temporaries."""
-    parts = [true_stat_arrays(rows_scaled[None, lo:lo + chunk], scaler)
-             for lo in range(0, rows_scaled.shape[0], chunk)]
+    Computed over blocks of ``ROW_BLOCK`` rows."""
+    parts = [true_stat_arrays(rows_scaled[None, lo:lo + ROW_BLOCK], scaler)
+             for lo in range(0, rows_scaled.shape[0], ROW_BLOCK)]
     return {k: np.concatenate([p[k][0] for p in parts]) for k in parts[0]}
 
 
@@ -465,6 +476,12 @@ def seed_split(seed):
     return int(init_seed), int(loop_seed)
 
 
+# windows per forward and backward in ``train``. A larger batch runs as
+# several micro-batches whose gradients add up in the parameters before the
+# batch's one optimizer step, so only one micro-batch's graph is alive.
+MICRO_BATCH = 64
+
+
 def train(dataset, cfg, checkpoint_path, resume_from=None):
     """Run the optimization loop on a ``RunConfig`` and write the final
     checkpoint, whose ``meta["settings"]`` is ``cfg.to_dict()``.
@@ -472,13 +489,14 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     The model's ``feature_dim`` follows the dataset's path count; every
     other model key comes from ``cfg``. Deterministic for a fixed
     (dataset, cfg) pair: initialization, batch shuffling and dropout all
-    derive from cfg.seed. A non-finite batch loss aborts with the last
-    periodic checkpoint, if any.
+    derive from cfg.seed. A batch above ``MICRO_BATCH`` windows runs as
+    micro-batches of at most that many, each drawing its own dropout masks;
+    their gradients sum to the batch's up to rounding. A non-finite loss
+    aborts with the last periodic checkpoint, if any.
     """
     cfg.validate()
     model_cfg = cfg.model_config(dataset.n_paths)
     train_ranges, _ = split_ranges(dataset, cfg.train_frac)
-    train_rows = np.vstack([dataset.rows[lo:hi] for lo, hi in train_ranges])
     if resume_from is not None:
         params, scaler, opt_arrays, meta = load_train_checkpoint(resume_from)
         _check_resume(meta, model_cfg, cfg, dataset.n_paths)
@@ -492,11 +510,14 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     else:
         init_seed, loop_seed = seed_split(cfg.seed)
         params = init_params(model_cfg, seed=init_seed)
+        train_rows = np.vstack([dataset.rows[lo:hi]
+                                for lo, hi in train_ranges])
         scaler = fit_scaler(train_rows, dataset.n_paths)
         weights = None
         if cfg.mode == "gen":
             weights = calibrate_weights(
                 chanstats.row_stats(train_rows, dataset.n_paths))
+        del train_rows
         opt = AdamW(params)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
@@ -519,34 +540,42 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         total_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = starts[order[lo:lo + cfg.batch_size]]
-            hist, targ = gather_window_arrays(rows_scaled, batch,
-                                              model_cfg.lag, model_cfg.window)
             # the last step's parameter gradients are spent: free them
             # before this forward allocates
             ad.zero_grad(params.values())
-            out = hybrid_forward(hist, model_cfg, params, training=True,
-                                 dropout_rng=rng)
-            try:
-                if cfg.mode == "gen":
-                    idx = _window_rows(batch, model_cfg.lag, model_cfg.window)
-                    loss = stats_loss({k: v[idx] for k, v in row_stats.items()},
-                                      out, scaler, weights, cfg.beta)
-                else:
-                    loss = predictive_loss(targ, out, cfg.beta)
-            except NonFiniteStat as exc:
-                raise TrainingDiverged(
-                    "%s at epoch %d" % (exc, epoch + 1), last_good) from exc
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(
-                    "non-finite loss at epoch %d" % (epoch + 1), last_good)
-            loss.backward()
+            for micro_lo in range(0, len(batch), MICRO_BATCH):
+                micro = batch[micro_lo:micro_lo + MICRO_BATCH]
+                hist, targ = gather_window_arrays(
+                    rows_scaled, micro, model_cfg.lag, model_cfg.window)
+                out = hybrid_forward(hist, model_cfg, params, training=True,
+                                     dropout_rng=rng)
+                try:
+                    if cfg.mode == "gen":
+                        idx = _window_rows(micro, model_cfg.lag,
+                                           model_cfg.window)
+                        loss = stats_loss(
+                            {k: v[idx] for k, v in row_stats.items()},
+                            out, scaler, weights, cfg.beta)
+                    else:
+                        loss = predictive_loss(targ, out, cfg.beta)
+                except NonFiniteStat as exc:
+                    raise TrainingDiverged(
+                        "%s at epoch %d" % (exc, epoch + 1), last_good) \
+                        from exc
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    raise TrainingDiverged(
+                        "non-finite loss at epoch %d" % (epoch + 1), last_good)
+                # each loss is a mean over its windows: seeded with its share
+                # of the batch (1.0 for a whole batch), the micro-batch
+                # gradients add up to the batch mean's
+                loss.backward(np.asarray(len(micro) / len(batch)))
+                total_loss += loss_val * len(micro)
+                # backward released the graph as it walked it; only the
+                # output and loss values are left, dropped here so that
+                # nothing of it lives through the next forward or the save
+                del out, loss
             opt.step(lr)
-            total_loss += loss_val * len(batch)
-            # backward released the step's graph as it walked it; only the
-            # output and loss values are left, dropped here so that nothing
-            # of this step lives through the next forward or the final save
-            del out, loss
         mean_loss = total_loss / len(starts)
         trace.append((epoch + 1, mean_loss, lr))
         if (cfg.checkpoint_every and
@@ -585,6 +614,12 @@ def collect_window_stats(rows, n_paths):
     return pools
 
 
+def _joined_pools(parts):
+    """The pools of consecutive row blocks, joined in row order."""
+    return {name: np.concatenate([p[name] for p in parts])
+            for name in EVAL_STATS}
+
+
 def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
                    batch_size=64):
     """Generate windows over the eval ranges with every model and pool
@@ -594,10 +629,12 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
     gen_pools): per-statistic sample arrays pooled over every evaluated
     window and step, the true side once and ``gen_pools`` by label. Ranges
     too short for one window are skipped with a warning. The forward runs on
-    constants, so it records no graph. Overlapping windows share target
-    rows: the true-side statistics are computed once per distinct row and
-    gathered back, which gives the same pools, since ``chanstats.row_stats``
-    reduces each row on its own.
+    constants, so it records no graph. ``chanstats.row_stats`` reduces each
+    row on its own, so pooling a block of rows at a time gives the same
+    pools as pooling them all at once: each model's generated rows are
+    pooled whenever ``ROW_BLOCK`` of them have accumulated, and only their
+    pools are kept. Overlapping windows share target rows, so the true side
+    is pooled once per distinct row and gathered back.
     """
     usable = []
     for rng_pair in ranges:
@@ -611,28 +648,36 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
     starts = make_windows(usable, lag, window, stride)
     if not starts.size:
         raise ValueError("no evaluable windows in the given ranges")
-    rows_scaled = scaler.scale(dataset.rows)
-    n_feat = dataset.rows.shape[1]
+    n_feat, n_paths = dataset.rows.shape[1], dataset.n_paths
     consts = {label: {name: ad.const(t.data) for name, t in params.items()}
               for label, params in models.items()}
-    gen_rows = {label: np.empty((len(starts) * window, n_feat))
-                for label in models}
+    pending = {label: [] for label in models}
+    parts = {label: [] for label in models}
     for lo in range(0, len(starts), batch_size):
         batch = starts[lo:lo + batch_size]
-        hist, _ = gather_window_arrays(rows_scaled, batch, lag, window)
+        # scaled per batch: elementwise, so the same values as scaling the
+        # whole dataset first, without a scaled copy of it
+        hist = scaler.scale(dataset.rows[_window_rows(batch, 0, lag)])
         for label, params in consts.items():
             out = hybrid_forward(hist, model_cfg, params, training=False)
-            gen_rows[label][lo * window:(lo + len(batch)) * window] = \
-                scaler.unscale(out.data).reshape(-1, n_feat)
+            rows = pending[label]
+            rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
+            if (lo + batch_size >= len(starts)
+                    or sum(len(r) for r in rows) >= ROW_BLOCK):
+                parts[label].append(collect_window_stats(
+                    np.concatenate(rows), n_paths))
+                rows.clear()
     distinct, inverse = np.unique(_window_rows(starts, lag, window).ravel(),
                                   return_inverse=True)
-    per_row = collect_window_stats(dataset.rows[distinct], dataset.n_paths)
+    per_row = _joined_pools([
+        collect_window_stats(dataset.rows[distinct[lo:lo + ROW_BLOCK]],
+                             n_paths)
+        for lo in range(0, len(distinct), ROW_BLOCK)])
     true_pool = {name: per_row[name][inverse]
                  for name in chanstats.STAT_NAMES}
     true_pool["mpc_power"] = per_row["mpc_power"].reshape(
-        len(distinct), dataset.n_paths)[inverse].ravel()
-    return true_pool, {label: collect_window_stats(rows, dataset.n_paths)
-                       for label, rows in gen_rows.items()}
+        len(distinct), n_paths)[inverse].ravel()
+    return true_pool, {label: _joined_pools(p) for label, p in parts.items()}
 
 
 def cdf_distance_report(true_pools, gen_pools):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def random_feature_rows(n_rows, n_paths, seed=0):
                  gscm.zn_doa_cols):
         rows[:, cols(n_paths)] = rng.uniform(-180, 180, (n_rows, n_paths))
     return rows
+
+
+def random_dataset(n_rows, n_paths, seed=0):
+    """A one-trajectory ``gscm.Dataset`` of ``random_feature_rows``."""
+    return gscm.Dataset(rows=random_feature_rows(n_rows, n_paths, seed),
+                        n_paths=n_paths, fc_ghz=2.4, delta2d=1.0, h_rx=1.5,
+                        seed=seed, traj_steps=(n_rows,))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the most bytes that the allocations it
+    made held at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # Direct-summation oracles of the two spread measures, in SI units, written

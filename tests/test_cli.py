@@ -316,7 +316,8 @@ def test_table_merges_and_averages(tmp_path):
 
 
 @pytest.mark.parametrize("how", ["truncated", "no-cells", "no-cdfs",
-                                 "no-cdf_mse_db", "valid"])
+                                 "no-cdf_mse_db", "cells-not-a-list",
+                                 "text-cdf_mse_db", "valid"])
 def test_table_rejects_malformed_cells(tmp_path, capsys, how):
     # table and export-cdfs read a report through the same checks
     path = str(tmp_path / "report.json")
@@ -329,6 +330,12 @@ def test_table_rejects_malformed_cells(tmp_path, capsys, how):
     elif how == "no-cdf_mse_db":
         del payload["cells"][1]["cdf_mse_db"]
         want = "report.json: cell 1 lacks 'cdf_mse_db'"
+    elif how == "cells-not-a-list":
+        payload = {"cells": 5, "cdfs": {}}
+        want = "report.json: 'cells' is not a list"
+    elif how == "text-cdf_mse_db":
+        payload["cells"][1]["cdf_mse_db"] = "x"
+        want = "report.json: cell 1: 'cdf_mse_db' is not a number"
     elif how.startswith("no-"):
         del payload[how[3:]]
         want = "report.json: the report lacks %r" % how[3:]

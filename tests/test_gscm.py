@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import mpc_geometry, pathloss_db
+from conftest import mpc_geometry, pathloss_db, random_dataset, traced_peak
 
 from ddgen import cli, gscm
 
@@ -459,13 +459,15 @@ def test_dataset_twin_unused_without_rows_digest(tmp_path, monkeypatch):
     _assert_bitwise_equal(ds.rows, want)
 
 
-@pytest.mark.parametrize("how", ["width", "rows", "nan", "float32"])
+@pytest.mark.parametrize("how", ["width", "rows", "nan", "float32",
+                                 "big-endian"])
 def test_dataset_twin_bound_but_invalid_is_never_returned(tmp_path,
                                                           monkeypatch, how):
     path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
     want = gscm.read_dataset(path).rows
     bad = {"width": want[:, :-1], "rows": want[:-1],
-           "float32": want.astype(np.float32)}.get(how, want.copy())
+           "float32": want.astype(np.float32),
+           "big-endian": want.astype(">f8")}.get(how, want.copy())
     if how == "nan":
         bad[5, 9] = np.nan
     _rebind_twin(path, bad)
@@ -473,3 +475,25 @@ def test_dataset_twin_bound_but_invalid_is_never_returned(tmp_path,
     assert parses == 1
     assert ds.rows.dtype == np.float64 and ds.rows.shape == want.shape
     _assert_bitwise_equal(ds.rows, want)
+
+
+# The memory of the twin's write and read: one 26-path row matrix of 3000
+# rows, 4.5 MB, which neither may copy whole.
+
+def test_write_dataset_peaks_below_one_and_a_half_row_matrices(tmp_path):
+    ds = random_dataset(3000, 26, seed=3)
+    _, peak = traced_peak(gscm.write_dataset, ds, str(tmp_path / "d.txt"))
+    assert peak < 1.5 * ds.rows.nbytes
+
+
+def test_read_dataset_from_the_twin_peaks_below_one_and_a_half_row_matrices(
+        tmp_path, monkeypatch):
+    ds = random_dataset(3000, 26, seed=3)
+    path = str(tmp_path / "d.txt")
+    with open(path + gscm.MANIFEST_SUFFIX, "w") as f:
+        json.dump({"outputs": gscm.write_dataset(ds, path)}, f)
+    (back, parses), peak = traced_peak(_read_counting_parses, path,
+                                       monkeypatch)
+    assert parses == 0  # the rows came from the twin
+    _assert_bitwise_equal(back.rows, ds.rows)
+    assert peak < 1.5 * ds.rows.nbytes

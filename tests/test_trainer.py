@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (grad_check, random_feature_rows, tiny_model_config,
-                      tiny_run_config)
+from conftest import (grad_check, random_dataset, random_feature_rows,
+                      tiny_model_config, tiny_run_config, traced_peak)
 
 from ddgen import adtensor as ad
 from ddgen import chanstats, gscm, trainer
@@ -232,9 +232,10 @@ def test_stats_loss_bits_pinned_on_desk_batch():
 
 @pytest.mark.parametrize("chunk", [4096, 50])
 def test_row_stats_gathered_equal_window_stats(small_dataset, small_scaler,
-                                               chunk):
+                                               chunk, monkeypatch):
+    monkeypatch.setattr(trainer, "ROW_BLOCK", chunk)
     rows = small_scaler.scale(small_dataset.rows)
-    cached = trainer._row_stat_arrays(rows, small_scaler, chunk=chunk)
+    cached = trainer._row_stat_arrays(rows, small_scaler)
     rng = np.random.default_rng(12)
     lag, window = 6, 4
     for _ in range(5):
@@ -629,6 +630,55 @@ def test_evaluate_model_pools_each_model_as_if_alone(trained_tiny):
             assert np.array_equal(gen_p[label][name], gen_alone[label][name])
 
 
+def test_evaluate_model_pools_per_row_block_as_in_one_call(trained_tiny,
+                                                            monkeypatch):
+    ds, cfg, res = trained_tiny
+    model_cfg = cfg.model_config()
+    models = {"gen": res.params, "untrained": ht.init_params(model_cfg, 9)}
+    calls = []
+    real_collect = trainer.collect_window_stats
+
+    def collect(rows, n_paths):
+        calls.append(len(rows))
+        return real_collect(rows, n_paths)
+
+    # a block below one batch's 16 x 4 rows: every batch is pooled alone
+    monkeypatch.setattr(trainer, "ROW_BLOCK", 20)
+    monkeypatch.setattr(trainer, "collect_window_stats", collect)
+    ranges = [(60, 120)]
+    true_p, gen_p = trainer.evaluate_model(ds, model_cfg, models, res.scaler,
+                                           ranges, stride=1, batch_size=16)
+    starts = trainer.make_windows(ranges, cfg.lag, cfg.window)
+    # each model pools every batch alone, then the true side its blocks
+    assert len(calls) > 2 * -(-len(starts) // 16)
+    assert max(calls) <= 16 * cfg.window
+    for label, params in models.items():
+        want = real_collect(_tape_forward_rows(ds, model_cfg, params,
+                                               res.scaler, starts, 16),
+                            ds.n_paths)
+        for name in trainer.EVAL_STATS:
+            assert np.array_equal(gen_p[label][name], want[name]), (label,
+                                                                     name)
+    want = real_collect(np.vstack([ds.rows[s + cfg.lag:s + cfg.lag
+                                           + cfg.window] for s in starts]),
+                        ds.n_paths)
+    for name in trainer.EVAL_STATS:
+        assert np.array_equal(true_p[name], want[name]), name
+
+
+def test_evaluate_model_peaks_below_the_generated_rows():
+    # 26 paths, 3000 rows and window 10: 29910 generated rows, 42 MB
+    ds = random_dataset(3000, 26, seed=3)
+    model_cfg = tiny_model_config(n_scatterers=26, window=10)
+    scaler = trainer.fit_scaler(ds.rows, ds.n_paths)
+    models = {"gen": ht.init_params(model_cfg, seed=1)}
+    ranges = [(0, 3000)]
+    _, peak = traced_peak(trainer.evaluate_model, ds, model_cfg, models,
+                          scaler, ranges)
+    starts = trainer.make_windows(ranges, model_cfg.lag, model_cfg.window)
+    assert peak < len(starts) * model_cfg.window * ds.rows.shape[1] * 8
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_evaluate_model_skips_short_ranges(tmp_path):
     ds, cfg, path = _tiny_training_setup(tmp_path, epochs=1)
@@ -694,6 +744,41 @@ def test_train_starts_each_forward_without_gradients(tmp_path, monkeypatch):
     # one backward after each forward, and no forward sees a gradient
     assert len(stale) > 2 and backwards == list(range(1, len(stale) + 1))
     assert stale == [[]] * len(stale)
+
+
+@pytest.mark.parametrize("mode", ["gen", "pred"])
+def test_micro_batches_sum_to_the_batch_gradient(tmp_path, monkeypatch,
+                                                 mode):
+    ds, cfg, path = _tiny_training_setup(tmp_path, mode=mode, epochs=1)
+    cfg = dataclasses.replace(cfg, batch_size=10**4)  # one batch, dropout 0
+    n_windows = len(trainer.make_windows(
+        trainer.split_ranges(ds, cfg.train_frac)[0], cfg.lag, cfg.window,
+        cfg.stride))
+    forwards, stepped = [], []
+    real_forward, real_step = trainer.hybrid_forward, trainer.AdamW.step
+
+    def forward(*args, **kwargs):
+        forwards.append(len(args[0]))
+        return real_forward(*args, **kwargs)
+
+    def step(opt, lr):
+        stepped.append({k: p.grad.copy() for k, p in opt.params.items()})
+        return real_step(opt, lr)
+
+    monkeypatch.setattr(trainer, "hybrid_forward", forward)
+    monkeypatch.setattr(trainer.AdamW, "step", step)
+    whole = trainer.train(ds, cfg, path)
+    assert forwards == [n_windows] and len(stepped) == 1
+    # two micro-batches of unequal size, one optimizer step
+    monkeypatch.setattr(trainer, "MICRO_BATCH", n_windows // 2 + 3)
+    split = trainer.train(ds, cfg, str(tmp_path / "split.bin"))
+    assert forwards[1:] == [n_windows // 2 + 3, n_windows - n_windows // 2 - 3]
+    assert len(stepped) == 2
+    for name, grad in stepped[0].items():
+        err = np.abs(stepped[1][name] - grad).max()
+        assert err <= 1e-12 * np.abs(grad).max(), name
+    loss, split_loss = whole.trace[0][1], split.trace[0][1]
+    assert abs(split_loss - loss) <= 1e-12 * abs(loss)
 
 
 def test_checkpoint_roundtrip_through_trainer(tmp_path):
