@@ -6,6 +6,8 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -402,6 +404,39 @@ def test_table_refuses_to_mix_lags(tmp_path, capsys):
     assert cli.main(["table", r20, r40]) == 0
     text = capsys.readouterr().out
     assert "-30.0000" in text and "-10.0000" in text
+
+
+MALLOC_PROBE = """
+import ctypes, sys
+import numpy as np
+from ddgen import cli
+class Info(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+if sys.argv[1] == "main":
+    cli.main(["reference"])
+before = libc.mallinfo2().hblks
+block = np.ones(1 << 17)
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(cli._LIBC is None or not hasattr(cli._LIBC, "mallinfo2"),
+                    reason="needs glibc 2.33 or later")
+def test_main_fixes_the_malloc_thresholds():
+    # in a fresh interpreter, glibc maps a 1 MB block on its own until a
+    # larger one is freed; after main it comes from the heap
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    mapped = {}
+    for mode in ("plain", "main"):
+        out = subprocess.run([sys.executable, "-c", MALLOC_PROBE, mode],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        mapped[mode] = int(out.split()[-1])
+    assert mapped == {"plain": 1, "main": 0}
 
 
 def test_reference_table(capsys):
