@@ -189,9 +189,7 @@ def cmd_evaluate(args):
     return 0
 
 
-def _cell_value_ok(key, value):
-    if key in _CELL_NAMES:
-        return isinstance(value, str)
+def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -200,7 +198,7 @@ def _read_report(path):
     lacks ``cells`` or ``cdfs``, whose ``cells`` is not a list of objects
     holding every one of ``CELL_KEYS`` (names as strings, the rest as
     numbers), or that holds a CDF without ``grid``, ``true`` and ``gen``
-    lists of one length raises ValueError naming the file."""
+    lists of numbers of one length raises ValueError naming the file."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -217,7 +215,9 @@ def _read_report(path):
                    if not isinstance(cell, dict) or k not in cell]
         if missing:
             raise ValueError("%s: cell %d lacks %r" % (path, i, missing[0]))
-        bad = [k for k in CELL_KEYS if not _cell_value_ok(k, cell[k])]
+        bad = [k for k in CELL_KEYS if not (
+            isinstance(cell[k], str) if k in _CELL_NAMES
+            else _is_number(cell[k]))]
         if bad:
             raise ValueError("%s: cell %d: %r is not a %s" % (
                 path, i, bad[0],
@@ -236,6 +236,9 @@ def _read_report(path):
                 raise ValueError("%s: the %s CDF of model %s lacks grid, "
                                  "true and gen lists of one length"
                                  % (path, name, model))
+            if not all(_is_number(v) for part in parts for v in part):
+                raise ValueError("%s: the %s CDF of model %s holds a value "
+                                 "that is not a number" % (path, name, model))
     return payload
 
 

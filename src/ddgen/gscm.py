@@ -14,20 +14,19 @@ in one pass, bit-identical to the scalar per-path reference that the tests
 hold (``tests/conftest.py``). Dataset rows are stored in nanoseconds /
 degrees / dBm.
 
-A dataset file ``<path>`` is plain text (header, then one %.17g row per
-trajectory point) and is the canonical format. ``write_dataset`` also
-writes the row matrix as ``<path>.npy``, the binary twin, and returns the
-sha256 of both files, which ``ddgen gen`` records in
-``<path>.manifest.json``. ``read_dataset`` returns the twin's rows only
-when that manifest binds the twin to the exact text bytes being read;
-otherwise it parses the text. Deleting the twin is always safe.
+A dataset is the three files that ``ddgen gen`` writes: the text
+``<path>`` (header, then one %.17g row per trajectory point), its binary
+twin ``<path>.npy`` holding the same row matrix, and the gen manifest
+``<path>.manifest.json``, which records the sha256 of both.
+``read_dataset`` takes the header and the digest from the text and the
+rows from the twin; a missing or mismatched file of the three raises
+ValueError, and the fix is to run the same ``gen`` command again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -99,16 +98,13 @@ def place_scatterers(n, seed=0):
     return pos
 
 
-def heading_angle_set(a_count):
-    """The fixed menu of heading angles the receiver may move along.
-
-    theta_i = 2*pi * sin(0.1*pi + ((i-1)/(A-1)) * (2*pi - 0.1*pi)), i = 1..A.
-    """
-    if a_count < 2:
-        raise ValueError("need at least 2 heading angles")
-    i = np.arange(1, a_count + 1, dtype=np.float64)
-    arg = 0.1 * np.pi + (i - 1.0) / (a_count - 1.0) * (2.0 * np.pi - 0.1 * np.pi)
-    return 2.0 * np.pi * np.sin(arg)
+# The fixed menu of heading angles the receiver may move along:
+# theta_i = 2*pi * sin(0.1*pi + ((i-1)/(A-1)) * (2*pi - 0.1*pi)), i = 1..A,
+# with A = HEADING_COUNT.
+HEADING_ANGLES = 2.0 * np.pi * np.sin(
+    0.1 * np.pi + np.arange(HEADING_COUNT, dtype=np.float64)
+    / (HEADING_COUNT - 1.0) * (2.0 * np.pi - 0.1 * np.pi))
+HEADING_ANGLES.setflags(write=False)
 
 
 # headings drawn before an escaping walk steps straight toward the TX
@@ -247,7 +243,7 @@ class Dataset:
     h_rx: float
     seed: int
     traj_steps: tuple  # rows per trajectory, in file order
-    sha256: str | None = None  # digest of the file it was read from
+    sha256: str | None = None  # digest of the text it was read from
 
     def traj_ranges(self):
         """Half-open row ranges, one per trajectory."""
@@ -269,17 +265,16 @@ def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
     Per-trajectory seeds are derived from the master seed, so trajectories
     can later be generated independently without changing the output. The
     world's geometry is the fixed one: ``DEFAULT_BOUNDS``, ``DEFAULT_TX``,
-    ``DEFAULT_RX_START`` and ``HEADING_COUNT``.
+    ``DEFAULT_RX_START`` and ``HEADING_ANGLES``.
     """
     ss = np.random.SeedSequence(seed)
     # sub-seed 0 places the field and 1 + 2t walks trajectory t; 2 + 2t is
     # unused but kept, so that no other sub-seed (and no dataset) shifts
     subseeds = [int(s) for s in ss.generate_state(2 * trajectories + 1, dtype=np.uint64)]
     field = place_scatterers(n_paths, seed=subseeds[0])
-    headings = heading_angle_set(HEADING_COUNT)
     rows = np.empty((trajectories * steps, feature_dim(n_paths)))
     for t in range(trajectories):
-        traj = gen_trajectory(DEFAULT_RX_START, steps, delta2d, headings,
+        traj = gen_trajectory(DEFAULT_RX_START, steps, delta2d, HEADING_ANGLES,
                               seed=subseeds[1 + 2 * t], max_d2d=max_d2d,
                               hold_range=hold_range)
         # a chunk at a time, so the per-path temporaries stay small
@@ -294,8 +289,7 @@ def synthesize_dataset(n_paths, steps, seed, fc_ghz=2.4, delta2d=1.0,
 
 _DATASET_MAGIC = "# ddgen dataset v1"
 
-# ``gen`` writes the row matrix of dataset ``<path>`` again as ``<path>.npy``
-# (the twin) and its manifest as ``<path>.manifest.json``.
+# the twin and the gen manifest of dataset ``<path>`` are <path> + these
 TWIN_SUFFIX = ".npy"
 MANIFEST_SUFFIX = ".manifest.json"
 # rows formatted, hashed and written per call in write_dataset
@@ -357,15 +351,12 @@ _HEADER_KEYS = (("n_paths", _count), ("fc_ghz", float), ("delta2d", float),
 
 
 def read_dataset(path):
-    """Read a dataset file; malformed input raises ValueError naming the
-    file and the offending line or header key.
-
-    The text is canonical. Its rows are parsed unless the gen manifest
-    beside it binds the twin to these exact text bytes (see
-    ``_bound_rows``), in which case the twin's rows are returned.
-    ``write_dataset`` writes both from one matrix, so either way the rows
-    are the same values bit for bit. Header keys are read from the comment
-    lines before the first row; later comment lines are skipped.
+    """Read the dataset that ``ddgen gen`` wrote at ``path``. Header keys
+    come from the text's comment lines before the first row, and
+    ``Dataset.sha256`` is the digest of the text's bytes. The rows come
+    from the twin, which the gen manifest binds to those bytes (see
+    ``_bound_rows``). Malformed, missing or mismatched input raises
+    ValueError naming the file and the offending header key or file.
     """
     text_sha = hashlib.sha256()
     meta = {}
@@ -375,107 +366,82 @@ def read_dataset(path):
             raise ValueError("not a ddgen dataset: %s" % path)
         text_sha.update(first)
         # the header: comment and blank lines up to the first row
-        for line_no in itertools.count(2):
-            rows_start = f.tell()
-            line = f.readline()
-            text = line.strip()
-            if not line or (text and not text.startswith(b"#")):
-                break
+        for line in iter(f.readline, b""):
             text_sha.update(line)
-            for tok in text[1:].decode("utf-8", "replace").split():
-                if "=" in tok:
-                    key, val = tok.split("=", 1)
-                    meta[key] = val
-        f.seek(rows_start)
+            text = line.strip()
+            if text and not text.startswith(b"#"):
+                break
+            meta.update(tok.split("=", 1) for tok in text[1:].decode(
+                "utf-8", "replace").split() if "=" in tok)
         for chunk in iter(lambda: f.read(1 << 20), b""):
             text_sha.update(chunk)
-        values = {}
-        for key, kind in _HEADER_KEYS:
-            if key not in meta:
-                raise ValueError("%s: dataset header lacks %r" % (path, key))
-            try:
-                values[key] = kind(meta[key])
-            except ValueError:
-                raise ValueError("%s: header key %r: invalid value %r"
-                                 % (path, key, meta[key])) from None
-        width = feature_dim(values["n_paths"])
-        n_rows = sum(values["traj_steps"])
-        digest = text_sha.hexdigest()
-        rows = _bound_rows(path, digest, (n_rows, width))
-        if rows is None:
-            f.seek(rows_start)
-            rows = _parse_rows(f, path, line_no, values["n_paths"])
-    if rows.shape[0] != n_rows:
-        raise ValueError("%s: header key 'traj_steps': trajectory sizes sum "
-                         "to %d, not the %d rows" % (path, n_rows,
-                                                     rows.shape[0]))
-    return Dataset(rows=rows, sha256=digest, **values)
-
-
-def _parse_rows(f, path, first_line_no, n_paths):
-    """The rows of a dataset text from ``f``, positioned at the line with
-    number ``first_line_no``; later comment and blank lines are skipped."""
-    rows, line_nos = [], []
-    for line_no, line in enumerate(f, start=first_line_no):
-        line = line.strip()
-        if not line or line.startswith(b"#"):
-            continue
+    values = {}
+    for key, kind in _HEADER_KEYS:
+        if key not in meta:
+            raise ValueError("%s: dataset header lacks %r" % (path, key))
         try:
-            rows.append(np.array(line.split(), dtype=np.float64))
+            values[key] = kind(meta[key])
         except ValueError:
-            raise ValueError("%s: line %d: not a row of numbers"
-                             % (path, line_no)) from None
-        line_nos.append(line_no)
-    width = feature_dim(n_paths)
-    short = [n for row, n in zip(rows, line_nos) if row.size != width]
-    if short:
-        raise ValueError("%s: line %d: row width does not match n_paths=%d"
-                         % (path, short[0], n_paths))
-    mat = np.vstack(rows) if rows else np.empty((0, width))
-    bad = ~np.isfinite(mat).all(axis=1)
-    if bad.any():
-        raise ValueError("%s: line %d: non-finite value"
-                         % (path, line_nos[int(np.argmax(bad))]))
-    return mat
+            raise ValueError("%s: header key %r: invalid value %r"
+                             % (path, key, meta[key])) from None
+    digest = text_sha.hexdigest()
+    shape = (sum(values["traj_steps"]), feature_dim(values["n_paths"]))
+    return Dataset(rows=_bound_rows(path, digest, shape), sha256=digest,
+                   **values)
 
 
 def _bound_rows(path, text_sha256, shape):
-    """The twin's rows, or None unless all of these hold: the gen manifest
-    beside ``path`` records ``text_sha256`` as the text's digest; the twin's
-    bytes hash to the manifest's ``rows_sha256``; and those bytes are a
-    version 1.0 .npy file (the one ``np.save`` writes) of a finite float64
-    matrix of ``shape``. Any other pair is stale or edited, so a missing,
-    unreadable or mismatched file just means None. The twin is read once
-    into one writable buffer, which the returned rows view."""
+    """The twin's rows, read once into one writable buffer that they view.
+    The gen manifest beside ``path`` must record ``text_sha256`` as the
+    text's digest and the twin's ``rows_sha256``, and the twin must be the
+    version 1.0 .npy file (what ``np.save`` writes) of a finite, C-ordered
+    float64 matrix of ``shape``; else ValueError names the file and why."""
+    manifest_path, twin = path + MANIFEST_SUFFIX, path + TWIN_SUFFIX
+
+    def refused(reason, *args):
+        return ValueError("%s: %s; run the ddgen gen command that wrote it "
+                          "again" % (path, reason % args))
+
     try:
-        with open(path + MANIFEST_SUFFIX, "rb") as f:
+        with open(manifest_path, "rb") as f:
             manifest = json.load(f)
     except (OSError, ValueError):
-        return None
+        raise refused("its gen manifest %s is missing or not JSON",
+                      manifest_path) from None
     outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
-    if (not isinstance(outputs, dict) or "rows_sha256" not in outputs
-            or outputs.get("sha256") != text_sha256):
-        return None
+    if not isinstance(outputs, dict) or outputs.get("sha256") != text_sha256:
+        raise refused("the text's sha256 does not match its gen manifest %s "
+                      "(the text was edited, or the pair is stale)",
+                      manifest_path)
+    if "rows_sha256" not in outputs:
+        raise refused("its gen manifest %s lacks 'rows_sha256'", manifest_path)
     try:
-        with open(path + TWIN_SUFFIX, "rb") as f:
+        with open(twin, "rb") as f:
             blob = bytearray(os.fstat(f.fileno()).st_size)
-            if f.readinto(blob) != len(blob):
-                return None
+            size = f.readinto(blob)
     except OSError:
-        return None
-    if hashlib.sha256(blob).hexdigest() != outputs["rows_sha256"]:
-        return None
+        raise refused("its twin %s is missing or unreadable", twin) from None
+    if (size != len(blob)
+            or hashlib.sha256(blob).hexdigest() != outputs["rows_sha256"]):
+        raise refused("its twin %s does not match the 'rows_sha256' of %s "
+                      "(the twin is truncated or was edited)", twin,
+                      manifest_path)
     # the header is parsed from a copy of the buffer's first bytes, which
     # hold all of it: a version 1.0 header is at most 10 + 65535 bytes long
     head = io.BytesIO(blob[:10 + 0xFFFF])
     try:
         if np.lib.format.read_magic(head) != (1, 0):
-            return None
+            raise ValueError
         got_shape, fortran, dtype = np.lib.format.read_array_header_1_0(head)
     except ValueError:
-        return None
+        raise refused("its twin %s is not a version 1.0 .npy file",
+                      twin) from None
     if (got_shape != shape or fortran or dtype != np.float64
             or len(blob) - head.tell() != math.prod(shape) * dtype.itemsize):
-        return None
+        raise refused("its twin %s is not the C-ordered float64 %dx%d "
+                      "matrix that the header's n_paths and traj_steps give",
+                      twin, *shape)
     rows = np.frombuffer(blob, dtype=dtype, offset=head.tell()).reshape(shape)
-    return rows if np.isfinite(rows).all() else None
+    if not np.isfinite(rows).all():
+        raise refused("its twin %s holds a non-finite value", twin)
+    return rows

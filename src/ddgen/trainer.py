@@ -328,9 +328,9 @@ class AdamW:
         return out
 
     def load_state(self, arrays, t):
-        for k in self.params:
-            self.m[k] = arrays["opt.m." + k].copy()
-            self.v[k] = arrays["opt.v." + k].copy()
+        """Adopt the moments in ``arrays``, which the caller hands over."""
+        self.m = {k: arrays["opt.m." + k] for k in self.params}
+        self.v = {k: arrays["opt.v." + k] for k in self.params}
         self.t = t
 
 

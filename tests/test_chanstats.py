@@ -226,7 +226,7 @@ def _si_paths(tx, rx, field, fc_ghz):
 def test_window_stats_match_oracle_on_gscm_window():
     tx = (0, 0, 25)
     field = gscm.place_scatterers(6, seed=13)
-    headings = gscm.heading_angle_set(50)
+    headings = gscm.HEADING_ANGLES
     traj = gscm.gen_trajectory((100, 100, 1.5), 100, 1.0, headings, seed=13)
     stats = chanstats.row_stats(gscm.channel_rows(tx, traj, field, 2.4), 6)
     for i, rx in enumerate(traj):

@@ -74,8 +74,8 @@ def test_gen_writes_dataset_and_manifest(tmp_path, dataset_path):
     assert outputs["rows"] == dataset_path + ".npy"
     assert outputs["rows_sha256"] == _sha256(dataset_path + ".npy")
     assert manifest["config"]["seed"] == 3
-    os.remove(dataset_path + ".npy")  # the text path gives the same digest
-    assert gscm.read_dataset(dataset_path).sha256 == ds.sha256
+    # the rows are those of the twin that the manifest binds
+    assert np.array_equal(ds.rows, np.load(outputs["rows"]))
 
 
 def test_gen_single_step(tmp_path):
@@ -362,7 +362,8 @@ def test_table_rejects_malformed_cells(tmp_path, capsys, how):
 
 
 @pytest.mark.parametrize("how", ["no-grid", "no-true", "short-gen",
-                                 "not-a-map"])
+                                 "not-a-map", "text-grid", "null-gen",
+                                 "bool-true"])
 def test_export_cdfs_checks_every_cdf_before_writing(tmp_path, capsys, how):
     path = str(tmp_path / "report.json")
     cdf = {"grid": [0.0, 1.0], "true": [0.5, 1.0], "gen": [0.0, 1.0]}
@@ -372,20 +373,26 @@ def test_export_cdfs_checks_every_cdf_before_writing(tmp_path, capsys, how):
     # the last entry written, so every other file would come first
     bad = payload["cdfs"]["untrained"]
     name = sorted(bad)[-1]
+    want = "lacks grid, true and gen lists of one length"
     if how == "not-a-map":
         bad[name] = [0.0, 1.0]
     elif how == "short-gen":
         bad[name]["gen"] = [1.0]
-    else:
+    elif how.startswith("no-"):
         del bad[name][how[3:]]
+    else:  # one entry of a list that is not a number
+        value, key = how.split("-")
+        bad[name][key] = [{"text": "a", "null": None, "bool": True}[value],
+                          1.0]
+        want = "holds a value that is not a number"
     with open(path, "w") as f:
         json.dump(payload, f)
     out_dir = str(tmp_path / "cdfs")
     rc = cli.main(["export-cdfs", "--report", path, "--out", out_dir])
     captured = capsys.readouterr()
     assert rc == 2
-    assert ("report.json: the %s CDF of model untrained lacks grid, true and "
-            "gen lists of one length" % name) in captured.err
+    assert ("report.json: the %s CDF of model untrained %s"
+            % (name, want)) in captured.err
     assert captured.out == "" and not os.path.exists(out_dir)
 
 
@@ -570,18 +577,18 @@ def _sha256(path):
 
 
 def _corrupt(src, dst, how):
-    """Copy a dataset file with one defect; returns what stderr must name."""
+    """Copy a dataset file with one defect; returns what stderr must name
+    for a header key, or None for a defect that only the digest sees."""
     lines = open(src).read().splitlines()
     first_row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     row = first_row + 3  # 0-based index; the file's line number is row + 1
     vals = lines[row].split()
+    want = None
     if how in ("nan", "inf", "word"):
         vals[5] = how  # the first path's gain
         lines[row] = " ".join(vals)
-        want = "line %d" % (row + 1)
     elif how == "short":
         lines[row] = " ".join(vals[:-1])
-        want = "line %d" % (row + 1)
     elif how == "not_int":
         lines[1] = lines[1].replace(" seed=3", " seed=3.5")
         want = "bad.txt: header key 'seed'"
@@ -590,7 +597,6 @@ def _corrupt(src, dst, how):
         want = "bad.txt: header key 'n_paths'"
     elif how == "traj_sum":  # the header claims one row too few
         lines[2] = lines[2].replace("traj_steps=50,50", "traj_steps=50,49")
-        want = "bad.txt: header key 'traj_steps'"
     else:  # a deleted header key
         lines[1] = lines[1].replace(" delta2d=", " delta2d_=")
         want = "'delta2d'"
@@ -604,13 +610,17 @@ def _corrupt(src, dst, how):
 def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
                                    capsys, how):
     bad = str(tmp_path / "bad.txt")
-    want = _corrupt(dataset_path, bad, how)
+    header_key = _corrupt(dataset_path, bad, how)
     # the second time, the original's twin and gen manifest sit beside the
     # corrupted text: a stale pair, which must not be used
     for stale_pair in (False, True):
         if stale_pair:
             for suffix in (".npy", ".manifest.json"):
                 shutil.copy(dataset_path + suffix, bad + suffix)
+            want = "bad.txt: the text's sha256 does not match its gen manifest"
+        else:
+            want = "bad.txt: its gen manifest %s.manifest.json is missing" % bad
+        want = header_key or want
         capsys.readouterr()
         assert cli.main(train_args(bad, str(tmp_path / "bad.bin"))) == 2
         assert want in capsys.readouterr().err

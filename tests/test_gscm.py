@@ -1,13 +1,15 @@
 import hashlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
-from conftest import mpc_geometry, pathloss_db, random_dataset, traced_peak
+from conftest import (mpc_geometry, pathloss_db, random_dataset,
+                      tiny_run_config, traced_peak)
 
-from ddgen import cli, gscm
+from ddgen import cli, gscm, trainer
 
 
 def test_place_scatterers_within_bounds():
@@ -36,13 +38,11 @@ def test_scatterer_field_immutable():
 
 
 def test_heading_angle_set_values():
-    angles = gscm.heading_angle_set(50)
+    angles = gscm.HEADING_ANGLES
     assert len(angles) == 50
     assert abs(angles[0] - 2 * np.pi * math.sin(0.1 * np.pi)) < 1e-12
     assert abs(angles[0] - 1.9416110387254669) < 1e-10
     assert abs(angles[-1]) < 1e-12  # argument hits 2*pi, sin vanishes
-    with pytest.raises(ValueError):
-        gscm.heading_angle_set(1)
 
 
 def _one_step(theta, delta2d=1.0):
@@ -66,13 +66,13 @@ def test_trajectory_cardinal_directions():
 
 def test_trajectory_single_step_is_start():
     traj = gscm.gen_trajectory((100, 100, 1.5), 1, 1.0,
-                               gscm.heading_angle_set(50), seed=3)
+                               gscm.HEADING_ANGLES, seed=3)
     assert traj.shape == (1, 3)
     assert np.allclose(traj[0], [100, 100, 1.5])
 
 
 def test_trajectory_step_length_invariant():
-    headings = gscm.heading_angle_set(50)
+    headings = gscm.HEADING_ANGLES
     for delta in (0.5, 1.0, 1.5):
         pos = gscm.gen_trajectory((100, 100, 1.5), 500, delta, headings, seed=8)
         d = np.hypot(np.diff(pos[:, 0]), np.diff(pos[:, 1]))
@@ -82,7 +82,7 @@ def test_trajectory_step_length_invariant():
 
 def test_trajectory_boundary_bound():
     # the re-heading rule keeps the walk within one step of the boundary
-    headings = gscm.heading_angle_set(50)
+    headings = gscm.HEADING_ANGLES
     pos = gscm.gen_trajectory((100, 100, 1.5), 100000, 1.0, headings, seed=12)
     d2d = np.hypot(pos[:, 0], pos[:, 1])
     assert d2d.max() <= 600 + 1.0 * 501
@@ -90,7 +90,7 @@ def test_trajectory_boundary_bound():
 
 
 def test_trajectory_deterministic():
-    headings = gscm.heading_angle_set(50)
+    headings = gscm.HEADING_ANGLES
     a = gscm.gen_trajectory((100, 100, 1.5), 3000, 1.0, headings, seed=21)
     b = gscm.gen_trajectory((100, 100, 1.5), 3000, 1.0, headings, seed=21)
     assert np.array_equal(a, b)
@@ -317,7 +317,7 @@ def test_dataset_determinism_and_roundtrip(tmp_path, small_dataset):
     assert np.array_equal(small_dataset.rows, again.rows)
 
     path = str(tmp_path / "ds.txt")
-    gscm.write_dataset(small_dataset, path)
+    _write_with_manifest(small_dataset, path)
     back = gscm.read_dataset(path)
     assert np.array_equal(back.rows, small_dataset.rows)
     assert back.n_paths == small_dataset.n_paths
@@ -361,54 +361,67 @@ def _gen(tmp_path, n_paths, steps, seed, fc_ghz, delta2d, trajectories,
     return path
 
 
-def _read_text(path, monkeypatch):
-    """The rows as the text parse gives them, the twin aside."""
-    with monkeypatch.context() as m:
-        m.setattr(gscm, "_bound_rows", lambda *args: None)
-        return gscm.read_dataset(path).rows
+def _write_with_manifest(ds, path):
+    """write_dataset, and the gen manifest's outputs that bind its files."""
+    with open(path + gscm.MANIFEST_SUFFIX, "w") as f:
+        json.dump({"outputs": gscm.write_dataset(ds, path)}, f)
 
 
-def _read_counting_parses(path, monkeypatch):
-    """read_dataset, and how many times it parsed the text's rows."""
-    calls = []
-    parse = gscm._parse_rows
-
-    def counting_parse(*args):
-        calls.append(args)
-        return parse(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(gscm, "_parse_rows", counting_parse)
-        return gscm.read_dataset(path), len(calls)
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory, small_dataset):
+    """A tiny model's checkpoint, so that evaluate gets to its dataset."""
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
+    trainer.train(small_dataset, tiny_run_config(
+        n_scatterers=3, epochs=1, batch_size=16, stride=8), path)
+    return path
 
 
-def _rebind_twin(path, rows):
-    """Replace the twin by ``rows`` and bind it in the gen manifest."""
-    np.save(path + ".npy", rows)
+def _assert_refused(path, checkpoint, tmp_path, capsys, reason):
+    """train and evaluate on the dataset at ``path`` exit 2 and write
+    nothing; stderr names the dataset, ``reason`` and the fix."""
+    out = str(tmp_path / "refused")
+    for argv in (["train", "--dataset", path, "--out", out],
+                 ["evaluate", "--checkpoint", checkpoint, "--dataset", path,
+                  "--out", out]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % path), argv[0]
+        assert reason in err, (argv[0], err)
+        assert "run the ddgen gen command that wrote it again" in err
+        assert not os.path.exists(out)
+
+
+def _rebind_twin(path, blob):
+    """Replace the twin by the bytes ``blob`` and bind it in the gen
+    manifest."""
+    with open(path + ".npy", "wb") as f:
+        f.write(blob)
     with open(path + ".manifest.json") as f:
         manifest = json.load(f)
-    manifest["outputs"]["rows_sha256"] = hashlib.sha256(
-        open(path + ".npy", "rb").read()).hexdigest()
+    manifest["outputs"]["rows_sha256"] = hashlib.sha256(blob).hexdigest()
     with open(path + ".manifest.json", "w") as f:
         json.dump(manifest, f)
 
 
+def _npy_bytes(rows, version=None):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, rows, version=version)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("kwargs,digest", GOLDEN_DATASETS)
-def test_dataset_twin_rows_match_text_parse(tmp_path, monkeypatch, kwargs,
-                                            digest):
+def test_dataset_twin_rows_match_text_parse(tmp_path, kwargs, digest):
     path = _gen(tmp_path, **kwargs)
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
-    ds, parses = _read_counting_parses(path, monkeypatch)
-    assert parses == 0  # the rows came from the twin
-    text_rows = _read_text(path, monkeypatch)
-    assert ds.rows.shape == text_rows.shape
-    _assert_bitwise_equal(ds.rows, text_rows)
+    ds = gscm.read_dataset(path)
+    # an independent parse of the %.17g text: every value reads back exactly
+    _assert_bitwise_equal(ds.rows, np.loadtxt(path, ndmin=2))
     assert ds.sha256 == digest
 
 
-def test_dataset_twin_edited_text_wins(tmp_path, monkeypatch):
+def test_dataset_twin_edited_text_is_refused(tmp_path, checkpoint, capsys):
     path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
-    before = gscm.read_dataset(path).rows
     lines = open(path).read().split("\n")
     row = 4 + 17  # 0-based line index of the file's 18th row
     tokens = lines[row].split(" ")
@@ -419,34 +432,34 @@ def test_dataset_twin_edited_text_wins(tmp_path, monkeypatch):
     lines[row] = " ".join(tokens)
     with open(path, "r+") as f:  # the same length, rewritten in place
         f.write("\n".join(lines))
-    got = gscm.read_dataset(path).rows
-    assert got[17, 0] == float(tokens[0]) != before[17, 0]
-    before[17, 0] = got[17, 0]
-    _assert_bitwise_equal(got, before)
+    _assert_refused(path, checkpoint, tmp_path, capsys,
+                    "the text's sha256 does not match its gen manifest %s"
+                    % (path + ".manifest.json"))
 
 
 @pytest.mark.parametrize("how", ["missing", "truncated", "flipped"])
-def test_dataset_twin_damaged_is_ignored(tmp_path, monkeypatch, how):
+def test_dataset_twin_damaged_is_ignored(tmp_path, checkpoint, capsys, how):
+    # a damaged twin's rows are never returned: the read is refused
     path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
-    want = gscm.read_dataset(path).rows
     blob = bytearray(open(path + ".npy", "rb").read())
+    nbytes = gscm.read_dataset(path).rows.nbytes
     if how == "missing":
         os.remove(path + ".npy")
+        reason = "its twin %s.npy is missing" % path
     else:
         if how == "truncated":
             del blob[-8:]
         else:  # the lowest bit of the first value: still finite
-            blob[len(blob) - want.nbytes] ^= 1
+            blob[len(blob) - nbytes] ^= 1
         with open(path + ".npy", "wb") as f:
             f.write(blob)
-    ds, parses = _read_counting_parses(path, monkeypatch)
-    assert parses == 1
-    _assert_bitwise_equal(ds.rows, want)
+        reason = "its twin %s.npy does not match the 'rows_sha256'" % path
+    _assert_refused(path, checkpoint, tmp_path, capsys, reason)
 
 
-def test_dataset_twin_unused_without_rows_digest(tmp_path, monkeypatch):
+def test_dataset_twin_unused_without_rows_digest(tmp_path, checkpoint,
+                                                 capsys):
     path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
-    want = gscm.read_dataset(path).rows
     with open(path + ".manifest.json") as f:
         manifest = json.load(f)
     # the manifest as gen wrote it before the twin existed
@@ -454,27 +467,51 @@ def test_dataset_twin_unused_without_rows_digest(tmp_path, monkeypatch):
                            "sha256": manifest["outputs"]["sha256"]}
     with open(path + ".manifest.json", "w") as f:
         json.dump(manifest, f)
-    ds, parses = _read_counting_parses(path, monkeypatch)
-    assert parses == 1
-    _assert_bitwise_equal(ds.rows, want)
+    _assert_refused(path, checkpoint, tmp_path, capsys,
+                    "lacks 'rows_sha256'")
+
+
+@pytest.mark.parametrize("how", ["missing", "not-json", "no-outputs"])
+def test_dataset_without_its_gen_manifest_is_refused(tmp_path, checkpoint,
+                                                     capsys, how):
+    path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
+    manifest = path + ".manifest.json"
+    reason = "its gen manifest %s is missing or not JSON" % manifest
+    if how == "missing":
+        os.remove(manifest)
+    elif how == "not-json":
+        with open(manifest, "r+") as f:
+            f.truncate(len(f.read()) // 2)
+    else:
+        with open(manifest, "w") as f:
+            json.dump({"command": "gen"}, f)
+        reason = "the text's sha256 does not match its gen manifest"
+    _assert_refused(path, checkpoint, tmp_path, capsys, reason)
 
 
 @pytest.mark.parametrize("how", ["width", "rows", "nan", "float32",
-                                 "big-endian"])
-def test_dataset_twin_bound_but_invalid_is_never_returned(tmp_path,
-                                                          monkeypatch, how):
+                                 "big-endian", "fortran", "version",
+                                 "length"])
+def test_dataset_twin_bound_but_invalid_is_never_returned(
+        tmp_path, checkpoint, capsys, how):
     path = _gen(tmp_path, **GOLDEN_DATASETS[0][0])
     want = gscm.read_dataset(path).rows
     bad = {"width": want[:, :-1], "rows": want[:-1],
            "float32": want.astype(np.float32),
-           "big-endian": want.astype(">f8")}.get(how, want.copy())
+           "big-endian": want.astype(">f8"),
+           "fortran": np.asfortranarray(want)}.get(how, want.copy())
     if how == "nan":
         bad[5, 9] = np.nan
-    _rebind_twin(path, bad)
-    ds, parses = _read_counting_parses(path, monkeypatch)
-    assert parses == 1
-    assert ds.rows.dtype == np.float64 and ds.rows.shape == want.shape
-    _assert_bitwise_equal(ds.rows, want)
+    blob = _npy_bytes(bad, version=(2, 0) if how == "version" else None)
+    if how == "length":
+        blob += bytes(8)
+    _rebind_twin(path, blob)
+    reason = {"nan": "holds a non-finite value",
+              "version": "is not a version 1.0 .npy file"}.get(
+        how, "is not the C-ordered float64 240x25 matrix that the header's "
+        "n_paths and traj_steps give")
+    _assert_refused(path, checkpoint, tmp_path, capsys,
+                    "its twin %s.npy %s" % (path, reason))
 
 
 # The memory of the twin's write and read: one 26-path row matrix of 3000
@@ -487,13 +524,10 @@ def test_write_dataset_peaks_below_one_and_a_half_row_matrices(tmp_path):
 
 
 def test_read_dataset_from_the_twin_peaks_below_one_and_a_half_row_matrices(
-        tmp_path, monkeypatch):
+        tmp_path):
     ds = random_dataset(3000, 26, seed=3)
     path = str(tmp_path / "d.txt")
-    with open(path + gscm.MANIFEST_SUFFIX, "w") as f:
-        json.dump({"outputs": gscm.write_dataset(ds, path)}, f)
-    (back, parses), peak = traced_peak(_read_counting_parses, path,
-                                       monkeypatch)
-    assert parses == 0  # the rows came from the twin
+    _write_with_manifest(ds, path)
+    back, peak = traced_peak(gscm.read_dataset, path)
     _assert_bitwise_equal(back.rows, ds.rows)
     assert peak < 1.5 * ds.rows.nbytes
