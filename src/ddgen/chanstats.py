@@ -13,7 +13,7 @@ training loss (``trainer.window_stat_tensors``, both sides) takes
 sqrt(S^2 + eps) to bound the 1/S gradient at zero spread. Each row is
 reduced on its own, so evaluation computes its true side once per distinct
 row of the evaluated windows (``trainer.evaluate_model``) and training once
-per run (``trainer.train``).
+per training row, in row blocks (``trainer.train``).
 
 All evaluation compares pooled sample sets through their empirical CDFs on
 a shared grid; the reported distance is the mean squared pointwise CDF

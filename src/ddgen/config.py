@@ -13,6 +13,7 @@ the fixed learning-rate decay, weight decay and weight clamp by ``trainer``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import gscm
@@ -71,8 +72,11 @@ class RunConfig:
     def validate(self):
         if self.n_scatterers < 1:
             raise ConfigError("n_scatterers must be >= 1")
-        if self.fc_ghz <= 0 or self.delta2d <= 0:
-            raise ConfigError("fc_ghz and delta2d must be positive")
+        for key in ("fc_ghz", "delta2d", "lr", "beta"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError("%s must be positive and finite" % key)
+        if not self.max_d2d > 0:
+            raise ConfigError("max_d2d must be positive")
         if not (1 <= self.hold_min <= self.hold_max):
             raise ConfigError("hold range must satisfy 1 <= min <= max")
         if self.steps < 1 or self.trajectories < 1:
@@ -83,8 +87,8 @@ class RunConfig:
             raise ConfigError("train_frac must lie in (0, 1)")
         if self.stride < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("stride, epochs and batch_size must be >= 1")
-        if self.lr <= 0 or self.beta <= 0:
-            raise ConfigError("lr and beta must be positive")
+        if self.checkpoint_every < 0 or self.seed < 0:
+            raise ConfigError("checkpoint_every and seed must be >= 0")
         try:
             self.model_config().validate()
         except ValueError as exc:

@@ -47,11 +47,18 @@ class ModelConfig:
     dropout: float
 
     def validate(self):
-        if self.feature_dim < 1 or self.lag < 1 or self.window < 1:
-            raise ValueError("feature_dim, lag and window must be positive")
+        for key in ("feature_dim", "lag", "window", "d_model", "heads",
+                    "ffn_dim", "bilstm_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError("%s must be >= 1" % key)
         if self.d_model % self.heads != 0:
             raise ValueError("d_model (%d) must be divisible by heads (%d)"
                              % (self.d_model, self.heads))
+        if self.d_model % 2 != 0:
+            raise ValueError("d_model (%d) must be even for the positional "
+                             "encoding" % self.d_model)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
         if not (1 <= self.rank <= self.lag):
             raise ValueError("rank must satisfy 1 <= B <= lag")
         if min(self.enc_layers, self.dec_layers, self.bilstm_layers) < 1:
@@ -153,9 +160,9 @@ def init_params(cfg, seed=0):
 def param_names(cfg):
     """The tensor names ``init_params`` gives ``cfg``'s model, in its order.
     They depend only on the three layer counts, so they are read off a
-    model of width 1, which costs next to nothing to draw."""
+    model of the least valid widths, which costs next to nothing to draw."""
     return list(init_params(replace(
-        cfg, feature_dim=1, lag=1, window=1, d_model=1, heads=1, ffn_dim=1,
+        cfg, feature_dim=1, lag=1, window=1, d_model=2, heads=1, ffn_dim=1,
         rank=1, bilstm_hidden=1)))
 
 

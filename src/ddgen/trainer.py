@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +57,13 @@ class ScalerSpec:
     fixed_mask: np.ndarray
     n_paths: int
 
-    @property
+    # computed on first use and kept: ``scale`` runs once per micro-batch
+    @cached_property
     def span(self):
-        out = np.where(self.fixed_mask, float(self.n_paths),
-                       self.maxs - self.mins)
-        return out
+        return np.where(self.fixed_mask, float(self.n_paths),
+                        self.maxs - self.mins)
 
-    @property
+    @cached_property
     def offset(self):
         return np.where(self.fixed_mask, 0.0, self.mins)
 
@@ -121,6 +122,8 @@ def split_ranges(dataset, train_frac):
 
     Multiple trajectories are assigned whole; a single trajectory is split
     at the fractional row index (windows still never straddle the cut).
+    The training ranges are always the leading rows: they start at row 0
+    and are contiguous, and the evaluation ranges hold the rest.
     """
     ranges = dataset.traj_ranges()
     total = dataset.rows.shape[0]
@@ -145,11 +148,11 @@ def _window_rows(starts, first, length):
     return starts[:, None] + np.arange(first, first + length)
 
 
-def gather_window_arrays(rows_scaled, batch, lag, window):
+def gather_window_arrays(rows, batch, lag, window):
     """The (b, lag, F) histories and (b, window, F) targets of a batch of
-    window starts."""
-    return (rows_scaled[_window_rows(batch, 0, lag)],
-            rows_scaled[_window_rows(batch, lag, window)])
+    window starts, taken from ``rows``."""
+    return (rows[_window_rows(batch, 0, lag)],
+            rows[_window_rows(batch, lag, window)])
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +166,11 @@ class LossWeights:
     alpha_g: float
 
     def to_dict(self):
-        return {"alpha_tau": self.alpha_tau, "alpha_az": self.alpha_az,
-                "alpha_zn": self.alpha_zn, "alpha_g": self.alpha_g}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(alpha_tau=d["alpha_tau"], alpha_az=d["alpha_az"],
-                   alpha_zn=d["alpha_zn"], alpha_g=d["alpha_g"])
+        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 # the clamp on each loss weight, which a zero statistic would make infinite
@@ -206,14 +207,15 @@ class NonFiniteStat(RuntimeError):
 
 
 def window_stat_tensors(x_scaled, scaler):
-    """Differentiable per-step statistics of a scaled (b,P,F) window.
+    """Differentiable per-row statistics of scaled rows of any leading
+    shape, such as a (b,P,F) window or an (R,F) row block.
 
     Returns tensors: the five spreads shaped (b,P) and per-path gains in dB
-    shaped (b,P,N). The window is unscaled inside the graph, the moments are
+    shaped (b,P,N). The rows are unscaled inside the graph, the moments are
     ``chanstats.squared_spreads``'s, and each spread is sqrt(S^2 + eps).
     """
-    span = ad.const(scaler.span[None, None, :])
-    off = ad.const(scaler.offset[None, None, :])
+    span = ad.const(np.broadcast_to(scaler.span, x_scaled.data.shape))
+    off = ad.const(np.broadcast_to(scaler.offset, x_scaled.data.shape))
     raw = ad.add(ad.mul(x_scaled, span), off)
     out = chanstats.squared_spreads(raw, scaler.n_paths)
     for name in chanstats.STAT_NAMES:
@@ -248,8 +250,8 @@ def combine_stat_losses(gen_stats, true_stats, weights, beta):
 
 
 def true_stat_arrays(true_scaled, scaler):
-    """``window_stat_tensors`` of a scaled window as plain arrays. The
-    window is a constant, so no graph is recorded."""
+    """``window_stat_tensors`` of scaled rows as plain arrays. The rows
+    are a constant, so no graph is recorded."""
     return {k: t.data for k, t in
             window_stat_tensors(ad.const(true_scaled), scaler).items()}
 
@@ -460,12 +462,17 @@ def _check_resume(meta, model_cfg, cfg, n_paths):
 ROW_BLOCK = 4096
 
 
-def _row_stat_arrays(rows_scaled, scaler):
-    """``true_stat_arrays`` of every scaled row: spreads (R,), gains (R, N).
-    Computed over blocks of ``ROW_BLOCK`` rows."""
-    parts = [true_stat_arrays(rows_scaled[None, lo:lo + ROW_BLOCK], scaler)
-             for lo in range(0, rows_scaled.shape[0], ROW_BLOCK)]
-    return {k: np.concatenate([p[k][0] for p in parts]) for k in parts[0]}
+def _row_blocks(rows):
+    """Views of ``ROW_BLOCK`` consecutive rows (or indices) each."""
+    return (rows[lo:lo + ROW_BLOCK] for lo in range(0, len(rows), ROW_BLOCK))
+
+
+def _per_row(stat, blocks, *args):
+    """``stat(block, *args)`` of each row block, joined in row order: as
+    ``stat`` reduces each row on its own, the values of all rows at once,
+    with only one block's temporaries alive."""
+    parts = [stat(b, *args) for b in blocks]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
 def seed_split(seed):
@@ -493,10 +500,14 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     micro-batches of at most that many, each drawing its own dropout masks;
     their gradients sum to the batch's up to rounding. A non-finite loss
     aborts with the last periodic checkpoint, if any.
+
+    The rows are held once: micro-batches are gathered raw and scaled, and
+    per-row statistics run over the leading training rows in row blocks.
     """
     cfg.validate()
     model_cfg = cfg.model_config(dataset.n_paths)
     train_ranges, _ = split_ranges(dataset, cfg.train_frac)
+    train_rows = dataset.rows[:train_ranges[-1][1]]
     if resume_from is not None:
         params, scaler, opt_arrays, meta = load_train_checkpoint(resume_from)
         _check_resume(meta, model_cfg, cfg, dataset.n_paths)
@@ -510,28 +521,25 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
     else:
         init_seed, loop_seed = seed_split(cfg.seed)
         params = init_params(model_cfg, seed=init_seed)
-        train_rows = np.vstack([dataset.rows[lo:hi]
-                                for lo, hi in train_ranges])
         scaler = fit_scaler(train_rows, dataset.n_paths)
         weights = None
         if cfg.mode == "gen":
-            weights = calibrate_weights(
-                chanstats.row_stats(train_rows, dataset.n_paths))
-        del train_rows
+            weights = calibrate_weights(_per_row(
+                chanstats.row_stats, _row_blocks(train_rows), dataset.n_paths))
         opt = AdamW(params)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
 
-    rows_scaled = scaler.scale(dataset.rows)
     starts = make_windows(train_ranges, model_cfg.lag, model_cfg.window,
                           cfg.stride)
     if not starts.size:
         raise ValueError("training split too short for lag=%d window=%d"
                          % (model_cfg.lag, model_cfg.window))
     if cfg.mode == "gen":
-        # each true-side statistic belongs to one row: computed once here,
-        # gathered per batch
-        row_stats = _row_stat_arrays(rows_scaled, scaler)
+        # each true-side statistic belongs to one training row: computed
+        # once here, gathered per batch
+        row_stats = _per_row(true_stat_arrays,
+                             map(scaler.scale, _row_blocks(train_rows)), scaler)
     trace = []
     last_good = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -546,9 +554,9 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
             for micro_lo in range(0, len(batch), MICRO_BATCH):
                 micro = batch[micro_lo:micro_lo + MICRO_BATCH]
                 hist, targ = gather_window_arrays(
-                    rows_scaled, micro, model_cfg.lag, model_cfg.window)
-                out = hybrid_forward(hist, model_cfg, params, training=True,
-                                     dropout_rng=rng)
+                    dataset.rows, micro, model_cfg.lag, model_cfg.window)
+                out = hybrid_forward(scaler.scale(hist), model_cfg, params,
+                                     training=True, dropout_rng=rng)
                 try:
                     if cfg.mode == "gen":
                         idx = _window_rows(micro, model_cfg.lag,
@@ -557,7 +565,8 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
                             {k: v[idx] for k, v in row_stats.items()},
                             out, scaler, weights, cfg.beta)
                     else:
-                        loss = predictive_loss(targ, out, cfg.beta)
+                        loss = predictive_loss(scaler.scale(targ), out,
+                                               cfg.beta)
                 except NonFiniteStat as exc:
                     raise TrainingDiverged(
                         "%s at epoch %d" % (exc, epoch + 1), last_good) \
@@ -608,16 +617,9 @@ EVAL_STATS = chanstats.STAT_NAMES + ("mpc_power",)
 
 def collect_window_stats(rows, n_paths):
     """Pool per-row spread statistics and per-path gains from raw rows."""
-    stats = chanstats.row_stats(rows, n_paths)
-    pools = {name: stats[name] for name in chanstats.STAT_NAMES}
-    pools["mpc_power"] = stats["gains_db"].ravel()
+    pools = chanstats.row_stats(rows, n_paths)
+    pools["mpc_power"] = pools.pop("gains_db").ravel()
     return pools
-
-
-def _joined_pools(parts):
-    """The pools of consecutive row blocks, joined in row order."""
-    return {name: np.concatenate([p[name] for p in parts])
-            for name in EVAL_STATS}
 
 
 def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
@@ -632,52 +634,49 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
     constants, so it records no graph. ``chanstats.row_stats`` reduces each
     row on its own, so pooling a block of rows at a time gives the same
     pools as pooling them all at once: each model's generated rows are
-    pooled whenever ``ROW_BLOCK`` of them have accumulated, and only their
-    pools are kept. Overlapping windows share target rows, so the true side
-    is pooled once per distinct row and gathered back.
+    pooled, one model after another, whenever ``ROW_BLOCK`` of them have
+    accumulated, and only their pools are kept. Overlapping windows share
+    target rows, so the true side is pooled once per distinct row and
+    gathered back.
     """
-    usable = []
-    for rng_pair in ranges:
-        lo, hi = rng_pair
-        if hi - lo < model_cfg.lag + model_cfg.window:
+    lag, window = model_cfg.lag, model_cfg.window
+    for lo, hi in ranges:
+        if hi - lo < lag + window:
             warnings.warn("range [%d,%d) shorter than lag+window; skipped"
                           % (lo, hi))
-            continue
-        usable.append(rng_pair)
-    lag, window = model_cfg.lag, model_cfg.window
-    starts = make_windows(usable, lag, window, stride)
+    starts = make_windows(ranges, lag, window, stride)
     if not starts.size:
         raise ValueError("no evaluable windows in the given ranges")
     n_feat, n_paths = dataset.rows.shape[1], dataset.n_paths
-    consts = {label: {name: ad.const(t.data) for name, t in params.items()}
-              for label, params in models.items()}
-    pending = {label: [] for label in models}
-    parts = {label: [] for label in models}
-    for lo in range(0, len(starts), batch_size):
-        batch = starts[lo:lo + batch_size]
-        # scaled per batch: elementwise, so the same values as scaling the
-        # whole dataset first, without a scaled copy of it
-        hist = scaler.scale(dataset.rows[_window_rows(batch, 0, lag)])
-        for label, params in consts.items():
+
+    def generated(params):
+        # the model's generated rows in file units, in blocks of whole
+        # batches that reach ROW_BLOCK rows; histories are scaled per batch
+        params = {name: ad.const(t.data) for name, t in params.items()}
+        rows = []
+        for lo in range(0, len(starts), batch_size):
+            hist = scaler.scale(dataset.rows[_window_rows(
+                starts[lo:lo + batch_size], 0, lag)])
             out = hybrid_forward(hist, model_cfg, params, training=False)
-            rows = pending[label]
             rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
             if (lo + batch_size >= len(starts)
                     or sum(len(r) for r in rows) >= ROW_BLOCK):
-                parts[label].append(collect_window_stats(
-                    np.concatenate(rows), n_paths))
+                yield np.concatenate(rows)
                 rows.clear()
+
+    gen_pools = {label: _per_row(collect_window_stats, generated(params),
+                                 n_paths)
+                 for label, params in models.items()}
     distinct, inverse = np.unique(_window_rows(starts, lag, window).ravel(),
                                   return_inverse=True)
-    per_row = _joined_pools([
-        collect_window_stats(dataset.rows[distinct[lo:lo + ROW_BLOCK]],
-                             n_paths)
-        for lo in range(0, len(distinct), ROW_BLOCK)])
+    per_row = _per_row(collect_window_stats,
+                       (dataset.rows[i] for i in _row_blocks(distinct)),
+                       n_paths)
     true_pool = {name: per_row[name][inverse]
                  for name in chanstats.STAT_NAMES}
     true_pool["mpc_power"] = per_row["mpc_power"].reshape(
         len(distinct), n_paths)[inverse].ravel()
-    return true_pool, {label: _joined_pools(p) for label, p in parts.items()}
+    return true_pool, gen_pools
 
 
 def cdf_distance_report(true_pools, gen_pools):

@@ -487,6 +487,42 @@ def test_exit_codes(tmp_path):
     assert cli.main(["gen"]) == 1
 
 
+@pytest.mark.parametrize("command,sets,key", [
+    ("train", ["heads=0"], "heads"),
+    ("train", ["d_model=0"], "d_model"),
+    ("train", ["ffn_dim=0"], "ffn_dim"),
+    ("train", ["bilstm_hidden=0"], "bilstm_hidden"),
+    ("train", ["d_model=7", "heads=7"], "d_model"),
+    ("gen", ["seed=-1"], "seed"),
+    ("train", ["seed=-1"], "seed"),
+    ("gen", ["fc_ghz=nan"], "fc_ghz"),
+    ("gen", ["delta2d=inf"], "delta2d"),
+    ("gen", ["max_d2d=-5"], "max_d2d"),
+    ("train", ["dropout=-0.5"], "dropout"),
+    ("train", ["dropout=1.0"], "dropout"),
+    ("train", ["lr=nan"], "lr"),
+    ("train", ["beta=nan"], "beta"),
+    ("train", ["checkpoint_every=-1"], "checkpoint_every"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+def test_settings_no_run_can_use_exit_1(tmp_path, capsys, command, sets,
+                                        key):
+    out = str(tmp_path / "out" / "x")
+    if command == "gen":
+        argv = gen_args(out)
+    else:
+        dataset = str(tmp_path / "ds.txt")
+        assert cli.main(gen_args(dataset)) == 0
+        argv = train_args(dataset, out)
+    for pair in sets:
+        argv += ["--set", pair]
+    os.makedirs(os.path.dirname(out))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    assert os.listdir(os.path.dirname(out)) == []
+
+
 # keys whose one value is a constant of gscm or trainer
 REMOVED_KEYS = ("tx_x", "tx_y", "tx_z", "bound_x_min", "bound_x_max",
                 "bound_y_min", "bound_y_max", "bound_z_min", "bound_z_max",

@@ -107,6 +107,25 @@ def test_split_ranges_whole_trajectories(small_dataset):
     assert train == [(0, 120)] and evl == [(120, 240)]
 
 
+@pytest.mark.parametrize("n_traj", range(1, 7))
+def test_split_trains_on_leading_rows(n_traj):
+    # train reads its split as the view rows[:end of the last train range]
+    steps = tuple(int(n) for n in
+                  np.random.default_rng(n_traj).integers(1, 40, n_traj))
+    ds = gscm.Dataset(rows=np.zeros((sum(steps), gscm.feature_dim(1))),
+                      n_paths=1, fc_ghz=2.4, delta2d=1.0, h_rx=1.5, seed=0,
+                      traj_steps=steps)
+    bounds = set(np.cumsum((0,) + steps).tolist())
+    for frac in (0.01, 0.2, 0.5, 0.63, 0.8, 0.99):
+        train, evl = trainer.split_ranges(ds, frac)
+        assert train and evl and train[0][0] == 0, frac
+        ranges = train + evl
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert ranges[-1][1] == sum(steps)
+        if n_traj > 1:
+            assert {b for r in ranges for b in r} <= bounds, frac
+
+
 # ---------------------------------------------------------------------------
 # losses and weights
 
@@ -235,7 +254,11 @@ def test_row_stats_gathered_equal_window_stats(small_dataset, small_scaler,
                                                chunk, monkeypatch):
     monkeypatch.setattr(trainer, "ROW_BLOCK", chunk)
     rows = small_scaler.scale(small_dataset.rows)
-    cached = trainer._row_stat_arrays(rows, small_scaler)
+    # as train computes them: raw row blocks, each scaled on its own
+    cached = trainer._per_row(
+        trainer.true_stat_arrays,
+        map(small_scaler.scale, trainer._row_blocks(small_dataset.rows)),
+        small_scaler)
     rng = np.random.default_rng(12)
     lag, window = 6, 4
     for _ in range(5):
@@ -271,7 +294,9 @@ def test_train_loss_from_cached_stats_equals_stats_loss(tmp_path,
     assert len(seen) == 2
     targ, (true, out, scaler, weights, beta, got) = seen
     assert isinstance(true, dict)
-    assert real_loss(targ, out, scaler, weights, beta).item() == got
+    # the gathered target is raw; stats_loss takes it scaled
+    assert real_loss(scaler.scale(targ), out, scaler, weights,
+                     beta).item() == got
 
 
 def test_history_as_constant_or_tensor_gives_identical_grads(small_dataset,
@@ -507,6 +532,19 @@ def test_train_divergence_aborts(tmp_path):
     wild = dataclasses.replace(cfg, lr=1e18, epochs=30)
     with pytest.raises(trainer.TrainingDiverged):
         trainer.train(ds, wild, path)
+
+
+@pytest.mark.parametrize("mode", ["gen", "pred"])
+def test_train_copies_no_dataset_sized_matrix(tmp_path, monkeypatch, mode):
+    # 12000 rows of 26 paths: a 17.9 MB row matrix. With row blocks of 300
+    # rows, what train holds beyond it is the per-row statistics of its
+    # training rows (gen) and one block's temporaries.
+    ds = random_dataset(12000, 26, seed=4)
+    cfg = tiny_run_config(n_scatterers=26, mode=mode, epochs=1, stride=997,
+                          batch_size=4, lr=1e-3)
+    monkeypatch.setattr(trainer, "ROW_BLOCK", 300)
+    _, peak = traced_peak(trainer.train, ds, cfg, str(tmp_path / "ck.bin"))
+    assert peak < 0.5 * ds.rows.nbytes, peak / ds.rows.nbytes
 
 
 def test_train_rejects_short_split(tmp_path):
