@@ -100,7 +100,7 @@ def cmd_gen(args):
     digests = gscm.write_dataset(ds, args.out)
     manifest = _write_manifest(args.out, "gen", cfg.to_dict(), {},
                                {"dataset": args.out, **digests})
-    g = ds.rows[:, 3]
+    g = ds.rows[:, gscm.ROW_FIELDS.index("g")]
     print("wrote %s: %d rows x %d features (%d trajectories)"
           % (args.out, *ds.rows.shape, len(ds.traj_steps)))
     print("total gain dBm: min %.2f  mean %.2f  max %.2f"
@@ -166,11 +166,9 @@ def cmd_evaluate(args):
         cells += [_cell(name, label, model_cfg.lag, model_cfg.window,
                         ds.delta2d, report[name]["cdf_mse_db"])
                   for name in trainer.EVAL_STATS]
-        cdfs[label] = {
-            name: {"grid": report[name]["grid"].tolist(),
-                   "true": report[name]["true_values"].tolist(),
-                   "gen": report[name]["gen_values"].tolist()}
-            for name in trainer.EVAL_STATS}
+        cdfs[label] = {name: {k: report[name][k].tolist()
+                              for k in ("grid", "true", "gen")}
+                       for name in trainer.EVAL_STATS}
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")

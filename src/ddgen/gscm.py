@@ -6,7 +6,8 @@ single-bounce path TX -> scatterer -> RX contributes a gain (urban-macro
 pathloss on the unfolded propagation distance), a delay, and four
 departure/arrival angles. One trajectory point therefore yields a feature
 vector of length 4 + 7N: RX position, total gain, then per path
-(path id, gain, delay, azimuth/zenith departure, azimuth/zenith arrival).
+(path id, gain, delay, azimuth/zenith departure, azimuth/zenith arrival),
+named by ``ROW_FIELDS`` and ``PATH_FIELDS``.
 
 Synthesis is array-first: ``gen_trajectory`` walks the receiver and
 ``channel_rows`` turns a whole (steps, 3) block of RX positions into rows
@@ -43,43 +44,28 @@ HEADING_COUNT = 50
 
 
 # ---------------------------------------------------------------------------
-# feature vector layout helpers
+# feature vector layout
+
+# The dataset header's column names: a row is ROW_FIELDS, then PATH_FIELDS
+# once per path, path 1 first.
+ROW_FIELDS = ("x", "y", "z", "g")
+PATH_FIELDS = ("n", "g_n", "tau_ns", "az_dod_deg", "zn_dod_deg", "az_doa_deg",
+               "zn_doa_deg")
+
 
 def feature_dim(n_paths):
-    return 4 + 7 * n_paths
+    return len(ROW_FIELDS) + len(PATH_FIELDS) * n_paths
 
 
-def path_id_cols(n_paths):
-    return np.arange(4, 4 + 7 * n_paths, 7)
-
-
-def gain_cols(n_paths):
-    return np.arange(5, 5 + 7 * n_paths, 7)
-
-
-def delay_cols(n_paths):
-    return np.arange(6, 6 + 7 * n_paths, 7)
-
-
-def az_dod_cols(n_paths):
-    return np.arange(7, 7 + 7 * n_paths, 7)
-
-
-def zn_dod_cols(n_paths):
-    return np.arange(8, 8 + 7 * n_paths, 7)
-
-
-def az_doa_cols(n_paths):
-    return np.arange(9, 9 + 7 * n_paths, 7)
-
-
-def zn_doa_cols(n_paths):
-    return np.arange(10, 10 + 7 * n_paths, 7)
+def path_cols(n_paths, field):
+    """The columns of one of PATH_FIELDS, one per path in path order."""
+    return np.arange(len(ROW_FIELDS) + PATH_FIELDS.index(field),
+                     feature_dim(n_paths), len(PATH_FIELDS))
 
 
 def fixed_feature_cols(n_paths):
     """Columns held constant by construction: RX height and the path ids."""
-    return np.sort(np.concatenate(([2], path_id_cols(n_paths))))
+    return np.concatenate(([ROW_FIELDS.index("z")], path_cols(n_paths, "n")))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +194,7 @@ def channel_rows(tx, rx, scatterers, fc_ghz):
         raise ValueError("scatterer coincides with an endpoint")
     delay = (d_tx_sc + d_sc_rx) / SPEED_OF_LIGHT
     d2d = _hypot(out[..., 0], out[..., 1])
+    # az/zn departure, then az/zn arrival, as in PATH_FIELDS
     angles = (_atan2(out[..., 1], out[..., 0]), _atan2(d2d, back[..., 2]),
               _atan2(back[..., 1], back[..., 0]), _atan2(d2d, out[..., 2]))
     # 13.54 + 39.08 log10(d) + 20 log10(fc) - 0.6 (h_rx - 1.5), in the
@@ -220,7 +207,7 @@ def channel_rows(tx, rx, scatterers, fc_ghz):
     rows = np.empty((steps, feature_dim(n)))
     rows[:, 0:3] = rx
     rows[:, 3] = 10.0 * _log10(lin.sum(axis=1)).astype(float)
-    paths = rows[:, 4:].reshape(steps, n, 7)
+    paths = rows[:, len(ROW_FIELDS):].reshape(steps, n, len(PATH_FIELDS))
     paths[..., 0] = np.arange(1, n + 1)
     paths[..., 1] = gain_db
     paths[..., 2] = delay * 1e9
@@ -308,8 +295,8 @@ def write_dataset(ds, path):
              "# n_paths=%d fc_ghz=%.17g delta2d=%.17g h_rx=%.17g seed=%d" %
              (ds.n_paths, ds.fc_ghz, ds.delta2d, ds.h_rx, ds.seed),
              "# traj_steps=%s" % ",".join(str(n) for n in ds.traj_steps),
-             "# columns: x y z g then per path: n g_n tau_ns az_dod_deg "
-             "zn_dod_deg az_doa_deg zn_doa_deg"]
+             "# columns: %s then per path: %s" % (" ".join(ROW_FIELDS),
+                                                  " ".join(PATH_FIELDS))]
     fmt = " ".join(["%.17g"] * ds.rows.shape[1]) + "\n"
 
     def texts():

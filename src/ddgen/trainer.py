@@ -12,6 +12,7 @@ elementwise smooth-L1 on the scaled features.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -173,31 +174,33 @@ class LossWeights:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
+# Each LossWeights field and the statistics it scales, in the order the loss
+# adds them: the terms of a group are summed, then the groups in turn.
+WEIGHT_GROUPS = (("alpha_tau", ("delay_spread",)),
+                 ("alpha_az", ("az_dod_spread", "az_doa_spread")),
+                 ("alpha_zn", ("zn_dod_spread", "zn_doa_spread")),
+                 ("alpha_g", ("gains_db",)))
+
 # the clamp on each loss weight, which a zero statistic would make infinite
 ALPHA_MAX = 1e12
 
 
-def _reciprocal_mean(values):
-    m = float(np.mean(np.abs(values)))
-    if m <= 0.0:
-        return ALPHA_MAX
-    return min(1.0 / m, ALPHA_MAX)
-
-
 def calibrate_weights(stats):
     """Reciprocal-of-mean weights so alpha * (typical statistic) is near 1,
-    each clamped at ``ALPHA_MAX``.
+    each clamped at ``ALPHA_MAX``; a weight's mean is of the absolute values
+    of the statistics that ``WEIGHT_GROUPS`` gives it.
 
     ``stats`` is a ``chanstats.row_stats`` dict over the training rows.
     """
     if stats["delay_spread"].size == 0:
         raise ValueError("need statistics of at least one row")
-    az = np.concatenate([stats["az_dod_spread"], stats["az_doa_spread"]])
-    zn = np.concatenate([stats["zn_dod_spread"], stats["zn_doa_spread"]])
-    return LossWeights(
-        alpha_tau=_reciprocal_mean(stats["delay_spread"]),
-        alpha_az=_reciprocal_mean(az), alpha_zn=_reciprocal_mean(zn),
-        alpha_g=_reciprocal_mean(stats["gains_db"].ravel()))
+    alphas = {}
+    for field, names in WEIGHT_GROUPS:
+        # one C-ordered copy of the group, made absolute in place
+        values = np.concatenate([stats[name] for name in names], axis=None)
+        m = float(np.mean(np.abs(values, out=values)))
+        alphas[field] = ALPHA_MAX if m <= 0.0 else min(1.0 / m, ALPHA_MAX)
+    return LossWeights(**alphas)
 
 
 class NonFiniteStat(RuntimeError):
@@ -240,13 +243,10 @@ def combine_stat_losses(gen_stats, true_stats, weights, beta):
         return ad.mean_all(ad.smooth_l1(
             ad.scale(t, alpha), ad.const(alpha * true_stats[name]), beta))
 
-    loss = term("delay_spread", weights.alpha_tau)
-    loss = ad.add(loss, ad.add(term("az_dod_spread", weights.alpha_az),
-                               term("az_doa_spread", weights.alpha_az)))
-    loss = ad.add(loss, ad.add(term("zn_dod_spread", weights.alpha_zn),
-                               term("zn_doa_spread", weights.alpha_zn)))
-    loss = ad.add(loss, term("gains_db", weights.alpha_g))
-    return loss
+    groups = (functools.reduce(ad.add, [term(name, getattr(weights, field))
+                                        for name in names])
+              for field, names in WEIGHT_GROUPS)
+    return functools.reduce(ad.add, groups)
 
 
 def true_stat_arrays(true_scaled, scaler):
@@ -467,11 +467,17 @@ def _row_blocks(rows):
     return (rows[lo:lo + ROW_BLOCK] for lo in range(0, len(rows), ROW_BLOCK))
 
 
-def _per_row(stat, blocks, *args):
+def _per_row(stat, blocks, *args, row_ids=None):
     """``stat(block, *args)`` of each row block, joined in row order: as
     ``stat`` reduces each row on its own, the values of all rows at once,
-    with only one block's temporaries alive."""
-    parts = [stat(b, *args) for b in blocks]
+    with only one block's temporaries alive. Given ``row_ids``, the row
+    numbers of the blocks' rows in order, each call also gets its block's
+    slice of them, by which ``stat`` names a row it refuses."""
+    parts, lo = [], 0
+    for b in blocks:
+        ids = {} if row_ids is None else {"row_ids": row_ids[lo:lo + len(b)]}
+        parts.append(stat(b, *args, **ids))
+        lo += len(b)
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
@@ -483,9 +489,9 @@ def seed_split(seed):
     return int(init_seed), int(loop_seed)
 
 
-# windows per forward and backward in ``train``. A larger batch runs as
-# several micro-batches whose gradients add up in the parameters before the
-# batch's one optimizer step, so only one micro-batch's graph is alive.
+# windows per forward in ``train`` and ``evaluate_model``. A larger batch
+# trains as several micro-batches whose gradients add up before the batch's
+# one optimizer step, so only one micro-batch's graph is alive.
 MICRO_BATCH = 64
 
 
@@ -525,7 +531,8 @@ def train(dataset, cfg, checkpoint_path, resume_from=None):
         weights = None
         if cfg.mode == "gen":
             weights = calibrate_weights(_per_row(
-                chanstats.row_stats, _row_blocks(train_rows), dataset.n_paths))
+                chanstats.row_stats, _row_blocks(train_rows), dataset.n_paths,
+                row_ids=range(len(train_rows))))
         opt = AdamW(params)
         rng = np.random.default_rng(loop_seed)
         start_epoch = 0
@@ -615,29 +622,30 @@ def write_trace(path, trace, config_snapshot):
 EVAL_STATS = chanstats.STAT_NAMES + ("mpc_power",)
 
 
-def collect_window_stats(rows, n_paths):
-    """Pool per-row spread statistics and per-path gains from raw rows."""
-    pools = chanstats.row_stats(rows, n_paths)
-    pools["mpc_power"] = pools.pop("gains_db").ravel()
+def collect_window_stats(rows, n_paths, row_ids=None):
+    """``chanstats.row_stats`` of raw rows, the per-path gains (rows, N)
+    named ``mpc_power``."""
+    pools = chanstats.row_stats(rows, n_paths, row_ids)
+    pools["mpc_power"] = pools.pop("gains_db")
     return pools
 
 
-def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
-                   batch_size=64):
+def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1):
     """Generate windows over the eval ranges with every model and pool
     statistics.
 
     ``models`` maps a label to a parameter dict. Returns (true_pool,
-    gen_pools): per-statistic sample arrays pooled over every evaluated
-    window and step, the true side once and ``gen_pools`` by label. Ranges
-    too short for one window are skipped with a warning. The forward runs on
-    constants, so it records no graph. ``chanstats.row_stats`` reduces each
+    gen_pools): per-statistic arrays pooled over every evaluated window and
+    step (``mpc_power`` one row of N per step), the true side once and
+    ``gen_pools`` by label. Ranges too short for one window are skipped
+    with a warning. The forward runs on constants, ``MICRO_BATCH`` windows
+    at a time, so it records no graph. ``chanstats.row_stats`` reduces each
     row on its own, so pooling a block of rows at a time gives the same
     pools as pooling them all at once: each model's generated rows are
     pooled, one model after another, whenever ``ROW_BLOCK`` of them have
     accumulated, and only their pools are kept. Overlapping windows share
-    target rows, so the true side is pooled once per distinct row and
-    gathered back.
+    target rows, so the true side is pooled once per distinct row, which
+    a dead row is named by, and gathered back.
     """
     lag, window = model_cfg.lag, model_cfg.window
     for lo, hi in ranges:
@@ -654,12 +662,12 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
         # batches that reach ROW_BLOCK rows; histories are scaled per batch
         params = {name: ad.const(t.data) for name, t in params.items()}
         rows = []
-        for lo in range(0, len(starts), batch_size):
+        for lo in range(0, len(starts), MICRO_BATCH):
             hist = scaler.scale(dataset.rows[_window_rows(
-                starts[lo:lo + batch_size], 0, lag)])
+                starts[lo:lo + MICRO_BATCH], 0, lag)])
             out = hybrid_forward(hist, model_cfg, params, training=False)
             rows.append(scaler.unscale(out.data).reshape(-1, n_feat))
-            if (lo + batch_size >= len(starts)
+            if (lo + MICRO_BATCH >= len(starts)
                     or sum(len(r) for r in rows) >= ROW_BLOCK):
                 yield np.concatenate(rows)
                 rows.clear()
@@ -671,24 +679,17 @@ def evaluate_model(dataset, model_cfg, models, scaler, ranges, stride=1,
                                   return_inverse=True)
     per_row = _per_row(collect_window_stats,
                        (dataset.rows[i] for i in _row_blocks(distinct)),
-                       n_paths)
-    true_pool = {name: per_row[name][inverse]
-                 for name in chanstats.STAT_NAMES}
-    true_pool["mpc_power"] = per_row["mpc_power"].reshape(
-        len(distinct), n_paths)[inverse].ravel()
-    return true_pool, gen_pools
+                       n_paths, row_ids=distinct)
+    return {name: v[inverse] for name, v in per_row.items()}, gen_pools
 
 
 def cdf_distance_report(true_pools, gen_pools):
-    """Per-statistic CDF MSE (dB) plus the shared-grid CDFs themselves, on
-    grids of ``chanstats.CDF_GRID_SIZE`` points."""
+    """Per statistic, its CDF MSE (dB) ``cdf_mse_db`` and the ``grid``,
+    ``true`` and ``gen`` arrays of ``chanstats.cdf_pair``, the two CDFs on
+    one grid of ``chanstats.CDF_GRID_SIZE`` points."""
     report = {}
     for name in EVAL_STATS:
-        truth, gen = chanstats.cdf_pair(true_pools[name], gen_pools[name])
-        report[name] = {
-            "cdf_mse_db": chanstats.cdf_mse_db(truth, gen),
-            "grid": truth.grid,
-            "true_values": truth.values,
-            "gen_values": gen.values,
-        }
+        grid, f, g = chanstats.cdf_pair(true_pools[name], gen_pools[name])
+        report[name] = {"cdf_mse_db": chanstats.cdf_mse_db(f, g),
+                        "grid": grid, "true": f, "gen": g}
     return report

@@ -11,6 +11,10 @@ from ddgen import htransformer as ht
 from ddgen.config import RunConfig
 
 
+# the four angle columns of a path, departure then arrival
+ANGLE_FIELDS = ("az_dod_deg", "zn_dod_deg", "az_doa_deg", "zn_doa_deg")
+
+
 def tiny_run_config(**overrides):
     """A RunConfig with a two-path world and the tiny model shape."""
     base = dict(n_scatterers=2, lag=6, window=4, d_model=8, heads=2,
@@ -32,12 +36,14 @@ def random_feature_rows(n_rows, n_paths, seed=0):
     rows[:, 1] = rng.uniform(-400, 400, n_rows)
     rows[:, 2] = 1.5
     rows[:, 3] = rng.uniform(-130, -90, n_rows)
-    rows[:, gscm.path_id_cols(n_paths)] = np.arange(1, n_paths + 1)
-    rows[:, gscm.gain_cols(n_paths)] = rng.uniform(-140, -90, (n_rows, n_paths))
-    rows[:, gscm.delay_cols(n_paths)] = rng.uniform(300, 4000, (n_rows, n_paths))
-    for cols in (gscm.az_dod_cols, gscm.zn_dod_cols, gscm.az_doa_cols,
-                 gscm.zn_doa_cols):
-        rows[:, cols(n_paths)] = rng.uniform(-180, 180, (n_rows, n_paths))
+    rows[:, gscm.path_cols(n_paths, "n")] = np.arange(1, n_paths + 1)
+    rows[:, gscm.path_cols(n_paths, "g_n")] = rng.uniform(-140, -90,
+                                                          (n_rows, n_paths))
+    rows[:, gscm.path_cols(n_paths, "tau_ns")] = rng.uniform(
+        300, 4000, (n_rows, n_paths))
+    for field in ANGLE_FIELDS:
+        rows[:, gscm.path_cols(n_paths, field)] = rng.uniform(
+            -180, 180, (n_rows, n_paths))
     return rows
 
 
@@ -165,13 +171,14 @@ def paths_row(powers, delays=None, angles=None):
     n = len(powers)
     row = np.zeros((1, gscm.feature_dim(n)))
     with np.errstate(divide="ignore"):  # a zero power is -inf dB
-        row[0, gscm.gain_cols(n)] = 10.0 * np.log10(powers)
+        row[0, gscm.path_cols(n, "g_n")] = 10.0 * np.log10(powers)
     if delays is not None:
-        row[0, gscm.delay_cols(n)] = np.asarray(delays) / chanstats.NS_TO_S
+        row[0, gscm.path_cols(n, "tau_ns")] = (np.asarray(delays)
+                                               / chanstats.NS_TO_S)
     if angles is not None:
-        for cols in (gscm.az_dod_cols, gscm.zn_dod_cols, gscm.az_doa_cols,
-                     gscm.zn_doa_cols):
-            row[0, cols(n)] = np.asarray(angles) / chanstats.DEG_TO_RAD
+        for field in ANGLE_FIELDS:
+            row[0, gscm.path_cols(n, field)] = (np.asarray(angles)
+                                                / chanstats.DEG_TO_RAD)
     return row
 
 

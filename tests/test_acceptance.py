@@ -205,7 +205,7 @@ def test_criterion_5_scaler_roundtrip():
     err = np.abs(scaler.unscale(scaled) - ds.rows).max()
     ids_exact = all(
         np.all(scaled[:, col] == (k + 1) / ds.n_paths)
-        for k, col in enumerate(gscm.path_id_cols(ds.n_paths)))
+        for k, col in enumerate(gscm.path_cols(ds.n_paths, "n")))
     _report("criterion 5 scaler roundtrip", err < 1e-9 and ids_exact,
             "max roundtrip err %.3e over %d rows; path ids exact: %s"
             % (err, ds.rows.shape[0], ids_exact))
@@ -215,13 +215,9 @@ def test_criterion_5_scaler_roundtrip():
 # criterion 6: CDF metric floor and analytic offset
 
 def test_criterion_6_cdf_metric():
-    grid = np.linspace(0.0, 1.0, 512)
     base = np.linspace(0.0, 0.9, 512)
-    a = chanstats.EmpiricalCdf(grid=grid, values=base)
-    same = chanstats.cdf_mse_db(a, chanstats.EmpiricalCdf(grid=grid,
-                                                          values=base.copy()))
-    offset = chanstats.cdf_mse_db(a, chanstats.EmpiricalCdf(grid=grid,
-                                                            values=base + 0.1))
+    same = chanstats.cdf_mse_db(base, base.copy())
+    offset = chanstats.cdf_mse_db(base, base + 0.1)
     ok = same == -120.0 and abs(offset - (-20.0)) < 1e-9
     _report("criterion 6 cdf metric", ok,
             "identical -> %.1f dB; 0.1 offset -> %.12f dB" % (same, offset))

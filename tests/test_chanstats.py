@@ -112,85 +112,88 @@ def test_spreads_match_oracles_randomized():
 
 
 def test_empirical_cdf_counting():
-    cdf = chanstats.empirical_cdf([1.0, 2.0, 3.0, 4.0], grid=np.array([2.5]))
-    assert cdf.values[0] == pytest.approx(0.5)
+    grid, f, g = chanstats.cdf_pair([1.0, 2.0, 3.0, 4.0], [1.0, 4.0])
+    assert grid[0] == 1.0 and grid[-1] == 4.0
+    # the grid point nearest 2.5 from below and above
+    mid = np.searchsorted(grid, 2.5)
+    assert f[mid - 1] == 0.5 and f[mid] == 0.5
+    assert g[mid] == 0.5 and g[0] == 0.5 and g[-1] == 1.0
 
 
 def test_empirical_cdf_single_point():
-    cdf = chanstats.empirical_cdf([5.0], chanstats.pooled_grid([[5.0]]))
-    assert np.array_equal(cdf.grid, np.full(chanstats.CDF_GRID_SIZE, 5.0))
-    assert np.array_equal(cdf.values, np.ones(chanstats.CDF_GRID_SIZE))
+    grid, f, g = chanstats.cdf_pair([5.0], [5.0])
+    assert np.array_equal(grid, np.full(chanstats.CDF_GRID_SIZE, 5.0))
+    assert np.array_equal(f, np.ones(chanstats.CDF_GRID_SIZE))
+    assert np.array_equal(g, f)
 
 
 def test_empirical_cdf_properties():
     rng = np.random.default_rng(9)
     samples = rng.uniform(0, 1, 10000)
-    cdf = chanstats.empirical_cdf(samples, chanstats.pooled_grid([samples]))
-    assert np.all(np.diff(cdf.values) >= 0)
-    assert cdf.values.min() >= 0 and cdf.values.max() <= 1
-    assert cdf.values[-1] == 1.0
+    grid, f, _ = chanstats.cdf_pair(samples, samples)
+    assert np.all(np.diff(f) >= 0)
+    assert f.min() >= 0 and f.max() <= 1
+    assert f[-1] == 1.0
     # uniform samples track the identity CDF (DKW-style bound)
-    assert np.abs(cdf.values - cdf.grid).max() < 0.05
+    assert np.abs(f - grid).max() < 0.05
 
 
 def test_empirical_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        chanstats.empirical_cdf([], np.array([0.0]))
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ValueError, match="empty sample set"):
+            chanstats.cdf_pair(a, b)
 
 
 def test_cdf_mse_db_floor_and_offset():
-    grid = np.linspace(0, 1, 512)
     vals = np.linspace(0, 0.9, 512)
-    a = chanstats.EmpiricalCdf(grid=grid, values=vals)
-    b = chanstats.EmpiricalCdf(grid=grid, values=vals.copy())
-    assert chanstats.cdf_mse_db(a, b) == -120.0
-    c = chanstats.EmpiricalCdf(grid=grid, values=vals + 0.1)
-    assert chanstats.cdf_mse_db(a, c) == pytest.approx(-20.0, abs=1e-9)
+    assert chanstats.cdf_mse_db(vals, vals.copy()) == -120.0
+    assert chanstats.cdf_mse_db(vals, vals + 0.1) == pytest.approx(-20.0,
+                                                                  abs=1e-9)
 
 
 def test_cdf_mse_db_symmetric_and_nonpositive():
     rng = np.random.default_rng(10)
-    grid = np.linspace(0, 1, 256)
-    a = chanstats.EmpiricalCdf(grid=grid, values=np.sort(rng.uniform(0, 1, 256)))
-    b = chanstats.EmpiricalCdf(grid=grid, values=np.sort(rng.uniform(0, 1, 256)))
-    assert chanstats.cdf_mse_db(a, b) == chanstats.cdf_mse_db(b, a)
-    assert chanstats.cdf_mse_db(a, b) <= 0.0
-
-
-def test_cdf_mse_db_rejects_mismatched_grids():
-    a = chanstats.EmpiricalCdf(grid=np.linspace(0, 1, 16),
-                               values=np.linspace(0, 1, 16))
-    b = chanstats.EmpiricalCdf(grid=np.linspace(0, 2, 16),
-                               values=np.linspace(0, 1, 16))
-    with pytest.raises(ValueError):
-        chanstats.cdf_mse_db(a, b)
+    f, g = (np.sort(rng.uniform(0, 1, 256)) for _ in range(2))
+    assert chanstats.cdf_mse_db(f, g) == chanstats.cdf_mse_db(g, f)
+    assert chanstats.cdf_mse_db(f, g) <= 0.0
 
 
 def test_cdf_pair_shares_pooled_grid():
-    a, b = chanstats.cdf_pair([1.0, 2.0, 3.0], [2.0, 5.0])
-    assert np.array_equal(a.grid, b.grid)
-    assert len(a.grid) == chanstats.CDF_GRID_SIZE
-    assert a.grid[0] == 1.0 and a.grid[-1] == 5.0
-    assert a.values[-1] == 1.0 and b.values[-1] == 1.0
+    grid, f, g = chanstats.cdf_pair([1.0, 2.0, 3.0], [2.0, 5.0])
+    assert grid.shape == f.shape == g.shape == (chanstats.CDF_GRID_SIZE,)
+    assert grid[0] == 1.0 and grid[-1] == 5.0
+    assert f[-1] == 1.0 and g[-1] == 1.0
+
+
+def test_cdf_pair_pools_each_set_whole():
+    """A (rows, N) set, such as ``mpc_power``, counts every entry: its CDF
+    is that of the raveled set, in whatever memory order it is held."""
+    rng = np.random.default_rng(11)
+    a = np.asfortranarray(rng.normal(size=(40, 3)))
+    b = rng.normal(size=70)
+    got = chanstats.cdf_pair(a, b)
+    want = chanstats.cdf_pair(a.ravel(), b)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
 # row_stats on dataset rows, against the oracles
 
-ANGLE_GROUPS = (("az_dod_spread", gscm.az_dod_cols),
-                ("zn_dod_spread", gscm.zn_dod_cols),
-                ("az_doa_spread", gscm.az_doa_cols),
-                ("zn_doa_spread", gscm.zn_doa_cols))
+ANGLE_GROUPS = (("az_dod_spread", "az_dod_deg"),
+                ("zn_dod_spread", "zn_dod_deg"),
+                ("az_doa_spread", "az_doa_deg"),
+                ("zn_doa_spread", "zn_doa_deg"))
 
 
 def _oracle_row_stats(row, n_paths):
     """The oracles applied to one dataset row, as a dict."""
-    powers = list(10.0 ** (row[gscm.gain_cols(n_paths)] / 10.0))
+    powers = list(10.0 ** (row[gscm.path_cols(n_paths, "g_n")] / 10.0))
     out = {"delay_spread": oracle_delay_spread(
-        powers, row[gscm.delay_cols(n_paths)] * chanstats.NS_TO_S)}
-    for name, cols in ANGLE_GROUPS:
+        powers, row[gscm.path_cols(n_paths, "tau_ns")] * chanstats.NS_TO_S)}
+    for name, field in ANGLE_GROUPS:
         out[name] = oracle_angular_spread(
-            powers, row[cols(n_paths)] * chanstats.DEG_TO_RAD)
+            powers, row[gscm.path_cols(n_paths, field)] * chanstats.DEG_TO_RAD)
     return out
 
 
@@ -204,7 +207,8 @@ def test_window_stats_composition():
         assert stats[name].shape == (3,)
         assert stats[name][1] == stats[name][0] == stats[name][2]
     assert stats["gains_db"].shape == (3, 4)
-    assert np.array_equal(stats["gains_db"][2], row[gscm.gain_cols(4)])
+    assert np.array_equal(stats["gains_db"][2],
+                          row[gscm.path_cols(4, "g_n")])
     want = _oracle_row_stats(row, 4)
     for name in chanstats.STAT_NAMES:
         assert stats[name][0] == pytest.approx(want[name], rel=1e-15)
@@ -261,16 +265,17 @@ def test_row_stats_matches_scalar_reference_on_gscm_dataset():
         want = _oracle_row_stats(row, 26)
         for name in chanstats.STAT_NAMES:
             assert stats[name][i] == pytest.approx(want[name], rel=1e-12)
-    assert np.array_equal(stats["gains_db"], ds.rows[:, gscm.gain_cols(26)])
+    assert np.array_equal(stats["gains_db"],
+                          ds.rows[:, gscm.path_cols(26, "g_n")])
 
 
 def test_row_stats_rejects_row_without_power():
     rows = random_feature_rows(4, 3, seed=31)
-    rows[2, gscm.gain_cols(3)] = -np.inf
+    rows[2, gscm.path_cols(3, "g_n")] = -np.inf
     with pytest.raises(ValueError, match="row 2"):
         chanstats.row_stats(rows, 3)
     # one path with power left is enough
-    rows[2, gscm.gain_cols(3)[1]] = -100.0
+    rows[2, gscm.path_cols(3, "g_n")[1]] = -100.0
     assert np.isfinite(chanstats.row_stats(rows, 3)["delay_spread"]).all()
 
 
@@ -284,9 +289,10 @@ def random_rows(draw):
                                seed=draw(st.integers(0, 2**32 - 1)))
     # gains over 120 dB, so one path can dominate; some rows get equal
     # delays or angles, so near-zero spreads are covered too
-    rows[:, gscm.gain_cols(n_paths)] = draw(arrays(
+    rows[:, gscm.path_cols(n_paths, "g_n")] = draw(arrays(
         np.float64, (n_rows, n_paths), elements=st.floats(-160.0, -40.0)))
-    for cols in (gscm.delay_cols(n_paths), gscm.az_doa_cols(n_paths)):
+    for cols in (gscm.path_cols(n_paths, "tau_ns"),
+                 gscm.path_cols(n_paths, "az_doa_deg")):
         if draw(st.booleans()):
             rows[:, cols] = rows[:, cols[:1]]
     return rows, n_paths
@@ -304,7 +310,7 @@ def _assert_spreads_close(a, b):
 def test_row_stats_invariant_to_common_gain_offset(rows_n, offset_db):
     rows, n = rows_n
     shifted = rows.copy()
-    shifted[:, gscm.gain_cols(n)] += offset_db
+    shifted[:, gscm.path_cols(n, "g_n")] += offset_db
     _assert_spreads_close(chanstats.row_stats(rows, n),
                           chanstats.row_stats(shifted, n))
 
@@ -314,7 +320,7 @@ def test_row_stats_invariant_to_common_gain_offset(rows_n, offset_db):
 def test_row_stats_delay_spread_invariant_to_delay_shift(rows_n, shift_ns):
     rows, n = rows_n
     shifted = rows.copy()
-    shifted[:, gscm.delay_cols(n)] += shift_ns
+    shifted[:, gscm.path_cols(n, "tau_ns")] += shift_ns
     a = chanstats.row_stats(rows, n)["delay_spread"]
     b = chanstats.row_stats(shifted, n)["delay_spread"]
     assert np.allclose(a, b, rtol=1e-9, atol=1e-15)
@@ -326,7 +332,7 @@ def test_row_stats_angular_spreads_invariant_to_rotation(rows_n, group,
                                                          angle_deg):
     rows, n = rows_n
     rotated = rows.copy()
-    rotated[:, group[1](n)] += angle_deg
+    rotated[:, gscm.path_cols(n, group[1])] += angle_deg
     _assert_spreads_close(chanstats.row_stats(rows, n),
                           chanstats.row_stats(rotated, n))
 
@@ -335,9 +341,9 @@ def _equal_powers_even_angles():
     """Three equal-power paths 120 degrees apart in every angle group: the
     unclamped moment rounds to 1 + 4e-16, and its square root above 1."""
     rows = random_feature_rows(1, 3, seed=0)
-    rows[:, gscm.gain_cols(3)] = -90.0
-    for _, cols in ANGLE_GROUPS:
-        rows[:, cols(3)] = [8.0, 128.0, 248.0]
+    rows[:, gscm.path_cols(3, "g_n")] = -90.0
+    for _, field in ANGLE_GROUPS:
+        rows[:, gscm.path_cols(3, field)] = [8.0, 128.0, 248.0]
     return rows, 3
 
 

@@ -665,6 +665,35 @@ def test_malformed_dataset_exits_2(tmp_path, dataset_path, checkpoint_path,
         assert want in capsys.readouterr().err
 
 
+# the dead row's gains overflow the model's sigmoid where it is a history row
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command,row", [("train", 37), ("evaluate", 90)])
+def test_dead_row_is_named_by_its_dataset_row(tmp_path, dataset_path,
+                                              request, monkeypatch, capsys,
+                                              command, row):
+    # every gain of one row at -4000 dB: finite, so the twin holds it, but
+    # no path has a positive power. Row 37 trains (rows 0-49), row 90 is
+    # evaluated (target rows 56-99); 16-row blocks put neither first.
+    ds = gscm.read_dataset(dataset_path)
+    ds.rows[row, gscm.path_cols(ds.n_paths, "g_n")] = -4000.0
+    dead = str(tmp_path / "dead.txt")
+    with open(dead + gscm.MANIFEST_SUFFIX, "w") as f:
+        json.dump({"outputs": gscm.write_dataset(ds, dead)}, f)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = train_args(dead, out)
+    else:
+        argv = ["evaluate", "--checkpoint",
+                request.getfixturevalue("checkpoint_path"), "--dataset", dead,
+                "--out", out]
+    monkeypatch.setattr(trainer, "ROW_BLOCK", 16)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert ("error: row %d: need at least one strictly positive power" % row
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("key,change", [
     ("mode", ["--mode", "gen"]),
     ("d_model", ["--set", "d_model=12"]),

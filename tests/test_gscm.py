@@ -189,7 +189,7 @@ def test_total_gain_two_equal_paths():
 def test_total_gain_dominates_per_path(small_dataset):
     n = small_dataset.n_paths
     total = small_dataset.rows[:, 3]
-    per_path = small_dataset.rows[:, gscm.gain_cols(n)]
+    per_path = small_dataset.rows[:, gscm.path_cols(n, "g_n")]
     assert np.all(total >= per_path.max(axis=1))
 
 
@@ -198,6 +198,13 @@ def test_sample_vector_length_n26():
     rows = gscm.channel_rows(TX, [(100, 100, 1.5)], field, 2.4)
     assert rows.shape == (1, 186)
     assert gscm.feature_dim(26) == 186
+    # the per-path fields cover every column after the row fields once
+    cols = np.concatenate([gscm.path_cols(26, f) for f in gscm.PATH_FIELDS])
+    assert np.array_equal(np.sort(cols), np.arange(len(gscm.ROW_FIELDS), 186))
+    assert np.array_equal(gscm.path_cols(26, "n"), np.arange(4, 186, 7))
+    assert np.array_equal(rows[0, gscm.path_cols(26, "n")], np.arange(1, 27))
+    assert np.array_equal(gscm.fixed_feature_cols(26), np.concatenate(
+        ([gscm.ROW_FIELDS.index("z")], gscm.path_cols(26, "n"))))
 
 
 def test_channel_rows_reject_empty_field():
@@ -328,11 +335,11 @@ def test_dataset_determinism_and_roundtrip(tmp_path, small_dataset):
 def test_dataset_row_units(small_dataset):
     # delays are stored in ns, angles in degrees
     n = small_dataset.n_paths
-    delays = small_dataset.rows[:, gscm.delay_cols(n)]
+    delays = small_dataset.rows[:, gscm.path_cols(n, "tau_ns")]
     assert delays.min() > 1.0  # hundreds of ns, not seconds
-    angles = small_dataset.rows[:, gscm.az_dod_cols(n)]
+    angles = small_dataset.rows[:, gscm.path_cols(n, "az_dod_deg")]
     assert -180.0 <= angles.min() and angles.max() <= 180.0
-    assert np.array_equal(small_dataset.rows[:, gscm.path_id_cols(n)][0],
+    assert np.array_equal(small_dataset.rows[:, gscm.path_cols(n, "n")][0],
                           np.arange(1, n + 1))
 
 

@@ -3,6 +3,7 @@ command, and every ddgen name the benchmark uses exists."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -97,3 +98,35 @@ def test_bench_uses_only_names_the_package_has(name):
             assert hasattr(obj, attr), "%s: %s.%s" % (
                 name, base.id, ".".join(chain[:i + 1]))
             obj = getattr(obj, attr)
+
+
+# tracer hooks whose targets are gone; the next benchmark change retargets
+# them, and this list shrinks with it
+STALE_HOOKS = {"cli._file_sha256", "chanstats.stats_from_row"}
+
+
+def test_bench_tracer_hooks_resolve():
+    """Every (module, attribute) that ``bench/tracing.py`` wraps exists, so
+    that a rename cannot silently zero a per-layer metric: the SPANS,
+    PHASES, SCOPES and PER_ROW tables and each literal ``_patch`` call."""
+    spec = importlib.util.spec_from_file_location("tracing",
+                                                  BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooks = {entry[:2] for table in (tracing.SPANS, tracing.PHASES,
+                                     tracing.SCOPES) for entry in table}
+    hooks.add(tracing.PER_ROW)
+    for node in ast.walk(ast.parse(spec.loader.get_source("tracing"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_patch" and len(node.args) == 3
+                and all(isinstance(a, ast.Constant) for a in node.args[:2])):
+            hooks.add(tuple(a.value for a in node.args[:2]))
+    assert ("htransformer", "projected_mha") in hooks and len(hooks) >= 25
+    absent = set()
+    for module, attr in sorted(hooks):
+        obj = importlib.import_module("ddgen." + module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            absent.add("%s.%s" % (module, attr))
+    assert absent == STALE_HOOKS

@@ -32,7 +32,7 @@ def test_scaler_midpoint():
 def test_scaler_path_id_and_height_divided_by_n(small_dataset, small_scaler):
     scaled = small_scaler.scale(small_dataset.rows)
     n = small_dataset.n_paths
-    for k, col in enumerate(gscm.path_id_cols(n)):
+    for k, col in enumerate(gscm.path_cols(n, "n")):
         assert np.all(scaled[:, col] == (k + 1) / n)
     assert np.all(scaled[:, 2] == 1.5 / n)
 
@@ -166,6 +166,26 @@ def test_calibrate_weights_unit_stats_give_unit_weights():
         assert v == pytest.approx(1.0)
     with pytest.raises(ValueError):
         trainer.calibrate_weights(_stats(0, 1.0, 1.0, 1.0, 1.0))
+
+
+def test_weight_groups_cover_every_weight_and_statistic():
+    fields = [field for field, _ in trainer.WEIGHT_GROUPS]
+    assert fields == list(trainer.LossWeights.__dataclass_fields__)
+    names = [name for _, group in trainer.WEIGHT_GROUPS for name in group]
+    assert sorted(names) == sorted(chanstats.STAT_NAMES + ("gains_db",))
+
+
+def test_calibrate_weights_copies_the_gains_once():
+    # 12k rows at 26 paths: the gains are 0.14x the row matrix, held by
+    # row_stats in Fortran order
+    rows = random_feature_rows(12000, 26, seed=5)
+    stats = chanstats.row_stats(rows, 26)
+    gains = stats["gains_db"].copy()
+    w, peak = traced_peak(trainer.calibrate_weights, stats)
+    assert peak < 0.2 * rows.nbytes
+    assert np.array_equal(stats["gains_db"], gains)
+    # the mean is summed in C order, as over the raveled gains
+    assert w.alpha_g == 1.0 / float(np.mean(np.abs(gains.ravel())))
 
 
 def test_calibrate_weights_clamp_on_zero_stats():
@@ -366,7 +386,7 @@ def test_stats_loss_spread_terms_permutation_invariant(small_dataset,
         src = 4 + 7 * old_i
         dst = 4 + 7 * new_i
         shuffled[:, dst:dst + 7] = gen_rows[:, src:src + 7]
-    shuffled[:, gscm.path_id_cols(n)] = np.arange(1, n + 1)
+    shuffled[:, gscm.path_cols(n, "n")] = np.arange(1, n + 1)
     moved = trainer.stats_loss(targ, ad.const(small_scaler.scale(shuffled)[None]),
                                small_scaler, w, 1.0).item()
     assert moved == pytest.approx(base, rel=1e-9)
@@ -375,7 +395,7 @@ def test_stats_loss_spread_terms_permutation_invariant(small_dataset,
 def test_stats_loss_reports_nonfinite_statistic(small_dataset, small_scaler):
     targ = small_scaler.scale(small_dataset.rows[:2])[None]
     bad = targ.copy()
-    bad[0, 0, gscm.gain_cols(small_dataset.n_paths)[0]] = np.nan
+    bad[0, 0, gscm.path_cols(small_dataset.n_paths, "g_n")[0]] = np.nan
     with pytest.raises(trainer.NonFiniteStat, match="delay_spread"):
         trainer.stats_loss(targ, ad.const(bad), small_scaler,
                            trainer.LossWeights(1, 1, 1, 1), 1.0)
@@ -599,17 +619,18 @@ def _tape_forward_rows(ds, model_cfg, params, scaler, starts, batch_size):
     return np.vstack(parts)
 
 
-def test_evaluate_model_runs_and_pools(trained_tiny):
+def test_evaluate_model_runs_and_pools(trained_tiny, monkeypatch):
     ds, cfg, res = trained_tiny
     model_cfg = cfg.model_config()
     _, split_eval = trainer.split_ranges(ds, cfg.train_frac)
     # batches of 16 leave a partial last batch at every stride here
+    monkeypatch.setattr(trainer, "MICRO_BATCH", 16)
     for ranges in (split_eval, [(0, 40), (60, 120)]):
         for stride in (1, 2, 3):
             case = "ranges %s stride %d" % (ranges, stride)
             true_p, gen_p = trainer.evaluate_model(
                 ds, model_cfg, {"m": res.params}, res.scaler, ranges,
-                stride=stride, batch_size=16)
+                stride=stride)
             assert list(gen_p) == ["m"]
             gen_p = gen_p["m"]
             starts = trainer.make_windows(ranges, cfg.lag, cfg.window, stride)
@@ -627,8 +648,8 @@ def test_evaluate_model_runs_and_pools(trained_tiny):
             assert set(gen_p) == set(want)
             for name in want:
                 assert np.array_equal(gen_p[name], want[name]), (case, name)
-            assert len(gen_p["mpc_power"]) == (n_windows * cfg.window
-                                               * ds.n_paths)
+            assert gen_p["mpc_power"].shape == (n_windows * cfg.window,
+                                                ds.n_paths)
 
 
 def test_evaluate_model_records_no_graph(trained_tiny, monkeypatch):
@@ -641,8 +662,9 @@ def test_evaluate_model_records_no_graph(trained_tiny, monkeypatch):
 
     real_forward = trainer.hybrid_forward
     monkeypatch.setattr(trainer, "hybrid_forward", forward)
+    monkeypatch.setattr(trainer, "MICRO_BATCH", 16)
     trainer.evaluate_model(ds, cfg.model_config(), {"m": res.params},
-                           res.scaler, [(60, 120)], stride=1, batch_size=16)
+                           res.scaler, [(60, 120)], stride=1)
     assert len(outputs) == 4
     for out in outputs:
         assert out._parents == () and out._backward is None
@@ -650,17 +672,17 @@ def test_evaluate_model_records_no_graph(trained_tiny, monkeypatch):
     assert all(t.requires_grad for t in res.params.values())
 
 
-def test_evaluate_model_pools_each_model_as_if_alone(trained_tiny):
+def test_evaluate_model_pools_each_model_as_if_alone(trained_tiny,
+                                                     monkeypatch):
     ds, cfg, res = trained_tiny
     model_cfg = cfg.model_config()
     models = {"trained": res.params, "fresh": ht.init_params(model_cfg, 9)}
+    monkeypatch.setattr(trainer, "MICRO_BATCH", 16)
     alone = {label: trainer.evaluate_model(ds, model_cfg, {label: params},
-                                           res.scaler, [(60, 120)], stride=2,
-                                           batch_size=16)
+                                           res.scaler, [(60, 120)], stride=2)
              for label, params in models.items()}
     true_p, gen_p = trainer.evaluate_model(ds, model_cfg, models, res.scaler,
-                                           [(60, 120)], stride=2,
-                                           batch_size=16)
+                                           [(60, 120)], stride=2)
     assert list(gen_p) == list(models)
     for label, (true_alone, gen_alone) in alone.items():
         for name in trainer.EVAL_STATS:
@@ -676,16 +698,17 @@ def test_evaluate_model_pools_per_row_block_as_in_one_call(trained_tiny,
     calls = []
     real_collect = trainer.collect_window_stats
 
-    def collect(rows, n_paths):
+    def collect(rows, n_paths, row_ids=None):
         calls.append(len(rows))
-        return real_collect(rows, n_paths)
+        return real_collect(rows, n_paths, row_ids)
 
     # a block below one batch's 16 x 4 rows: every batch is pooled alone
     monkeypatch.setattr(trainer, "ROW_BLOCK", 20)
+    monkeypatch.setattr(trainer, "MICRO_BATCH", 16)
     monkeypatch.setattr(trainer, "collect_window_stats", collect)
     ranges = [(60, 120)]
     true_p, gen_p = trainer.evaluate_model(ds, model_cfg, models, res.scaler,
-                                           ranges, stride=1, batch_size=16)
+                                           ranges, stride=1)
     starts = trainer.make_windows(ranges, cfg.lag, cfg.window)
     # each model pools every batch alone, then the true side its blocks
     assert len(calls) > 2 * -(-len(starts) // 16)
